@@ -1,0 +1,6 @@
+"""Repository benchmark for the ``repro`` simulator.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see
+``perfbench/README.md`` for the workloads and metrics.
+"""
