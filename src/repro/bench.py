@@ -9,19 +9,23 @@ loop — and compares the timings against a committed baseline
 (``benchmarks/baseline.json``).
 
 Raw wall-clock times are not portable across machines, so every suite
-run also times a fixed pure-numpy *calibration kernel* and the
-comparison works on calibration-normalized times::
+run also times a *calibration kernel* and the comparison works on
+calibration-normalized times::
 
     ratio = (current_s / current_calibration) / (baseline_s / baseline_calibration)
+
+Each scenario carries its own calibration, timed in between its calls
+(``calibrations``); payloads without one fall back to the suite-wide
+pure-numpy kernel (``calibration``).
 
 A scenario regresses when its normalized ratio exceeds ``1 + tolerance``
 (default tolerance 0.30, per the CI gate).  Speedups silently pass; to
 lock them in, refresh the baseline with ``repro bench --write-baseline``.
 
 Scenario timings measure only the hot loop: topology construction and
-path profiling happen outside the timed region, and each repeat builds
-fresh state so stateful objects (``MultiFlowSimulation``) never resume
-a previous run.
+path profiling happen outside the timed region, and each timed call
+builds fresh state so stateful objects (``MultiFlowSimulation``) never
+resume a previous run.
 """
 
 from __future__ import annotations
@@ -54,14 +58,19 @@ SCHEMA_VERSION = 1
 #: CI gate: fail when a scenario is >30% slower than baseline (normalized).
 DEFAULT_TOLERANCE = 0.30
 
+#: Each repeat calls its scenario until at least this much time has been
+#: measured (the ``timeit.Timer.autorange`` target), so sub-millisecond
+#: quick-mode scenarios are timed over many calls, not one noisy sample.
+MIN_TIMED_S = 0.2
+
 
 @dataclass(frozen=True)
 class Scenario:
     """A pinned, reproducible workload for regression timing.
 
     ``factory(quick)`` returns a zero-argument thunk wrapping the timed
-    hot loop; the harness calls the factory once per repeat so no state
-    leaks between measurements.
+    hot loop; the harness calls the factory once per timed call so no
+    state leaks between measurements.
     """
 
     name: str
@@ -280,13 +289,49 @@ def calibrate(repeats: int = 3) -> float:
     return best
 
 
+def _calibration_unit() -> Callable[[], None]:
+    """About a millisecond of the work mix the scenarios do.
+
+    An interpreted loop and many numpy calls, mostly on small arrays,
+    where per-call dispatch dominates.  :func:`run_scenario` interleaves
+    it with the scenario's calls, so a host that slows down for a while
+    slows both alike and their ratio holds.  Threaded BLAS is left out:
+    it stalls whenever another process holds a core, which the
+    single-threaded scenarios never notice.
+    """
+    b = np.random.default_rng(0).random(20_000)
+    small = b[:64].copy()
+
+    def unit() -> None:
+        total = 0.0
+        for x in b[:1_000].tolist():
+            total += x * x
+        for _ in range(300):
+            np.minimum(small, 0.5).sum()
+        for _ in range(10):
+            np.minimum(b, 0.5).sum()
+    return unit
+
+
+def _time_call(fn: Callable[[], object]) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def run_scenario(name: str, *, repeats: int = 3,
                  quick: bool = False) -> Dict[str, object]:
-    """Run one registered scenario; returns name/seconds/repeats.
+    """Run one registered scenario; returns name/seconds/calibration/
+    repeats/calls.
 
-    ``seconds`` is the best (minimum) of ``repeats`` timed runs — the
-    standard choice for regression gating since it is the least noisy
-    estimator of the true cost.
+    One untimed warm-up call comes first, so imports and first-touch
+    allocations stay out of the measurement.  Each repeat then calls
+    the scenario (a fresh thunk per call) until at least
+    :data:`MIN_TIMED_S` seconds have been timed, and interleaves the
+    calibration unit until it has run for as long as the scenario (at
+    most :data:`MIN_TIMED_S`).  ``seconds`` and ``calibration`` are the
+    mean per-call times of the repeat with the lowest ratio between
+    them; ``calls`` counts the timed scenario calls over all repeats.
     """
     try:
         scenario = SCENARIOS[name]
@@ -294,13 +339,26 @@ def run_scenario(name: str, *, repeats: int = 3,
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigurationError(
             f"unknown bench scenario {name!r}; known: {known}")
-    best = float("inf")
+    unit = _calibration_unit()
+    scenario.factory(quick)()
+    unit()
+    best = (float("inf"), 1.0)
+    calls = 0
     for _ in range(max(1, repeats)):
-        thunk = scenario.factory(quick)
-        t0 = time.perf_counter()
-        thunk()
-        best = min(best, time.perf_counter() - t0)
-    return {"name": name, "seconds": best, "repeats": max(1, repeats)}
+        timed = cal = 0.0
+        n = units = 0
+        while timed < MIN_TIMED_S:
+            timed += _time_call(scenario.factory(quick))
+            n += 1
+            while cal < min(timed, MIN_TIMED_S):
+                cal += _time_call(unit)
+                units += 1
+        per_call, per_unit = timed / n, cal / units
+        if per_call / per_unit < best[0] / best[1]:
+            best = (per_call, per_unit)
+        calls += n
+    return {"name": name, "seconds": best[0], "calibration": best[1],
+            "repeats": max(1, repeats), "calls": calls}
 
 
 def run_suite(names: Optional[Sequence[str]] = None, *, repeats: int = 3,
@@ -315,9 +373,11 @@ def run_suite(names: Optional[Sequence[str]] = None, *, repeats: int = 3,
             raise ConfigurationError(
                 f"unknown bench scenario {name!r}; known: {known}")
     results: Dict[str, float] = {}
+    calibrations: Dict[str, float] = {}
     for name in selected:
-        results[name] = float(run_scenario(
-            name, repeats=repeats, quick=quick)["seconds"])
+        run = run_scenario(name, repeats=repeats, quick=quick)
+        results[name] = float(run["seconds"])
+        calibrations[name] = float(run["calibration"])
         if progress is not None:
             progress(name, results[name])
     return {
@@ -325,6 +385,7 @@ def run_suite(names: Optional[Sequence[str]] = None, *, repeats: int = 3,
         "quick": bool(quick),
         "repeats": int(repeats),
         "calibration": calibrate(),
+        "calibrations": calibrations,
         "platform": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -389,8 +450,10 @@ def compare(current: Dict[str, object], baseline: Dict[str, object], *,
         raise ReproError(
             "refusing to compare: one payload was produced in quick mode "
             "and the other was not; their workloads differ")
-    cur_cal = float(current.get("calibration", 0.0)) or 1.0
-    base_cal = float(baseline.get("calibration", 0.0)) or 1.0
+    suite_cur_cal = current.get("calibration") or 0.0
+    suite_base_cal = baseline.get("calibration") or 0.0
+    cur_cals = current.get("calibrations") or {}
+    base_cals = baseline.get("calibrations") or {}
     rows: List[Dict[str, object]] = []
     base_results = baseline["results"]
     for name, cur_s in sorted(current["results"].items()):
@@ -399,7 +462,14 @@ def compare(current: Dict[str, object], baseline: Dict[str, object], *,
         base_s = float(base_results[name])
         if base_s <= 0.0:
             continue
-        ratio = (float(cur_s) / cur_cal) / (base_s / base_cal)
+        # Prefer the calibration timed alongside each scenario; fall back
+        # to the suite-wide kernel when either payload lacks it.
+        if name in cur_cals and name in base_cals:
+            cur_cal, base_cal = cur_cals[name], base_cals[name]
+        else:
+            cur_cal, base_cal = suite_cur_cal, suite_base_cal
+        ratio = ((float(cur_s) / (float(cur_cal) or 1.0))
+                 / (base_s / (float(base_cal) or 1.0)))
         rows.append({
             "name": name,
             "baseline_s": base_s,

@@ -976,8 +976,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shrunk workloads (CI smoke; compare only "
                               "against a --quick baseline)")
     p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed runs per scenario; best is kept "
-                              "(default 3)")
+                         help="timed repeats per scenario; the best "
+                              "per-call time is kept (default 3)")
     p_bench.add_argument("--only", default=None,
                          help="comma-separated scenario names "
                               "(default: all)")

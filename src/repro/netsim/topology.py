@@ -17,7 +17,7 @@ The fluid TCP model consumes profiles; it never looks at the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import networkx as nx
 
@@ -137,6 +137,15 @@ class Path:
 class Topology:
     """A named collection of nodes and links with policy-routed paths.
 
+    Routes are memoized per normalized query (endpoints, tag and kind
+    constraints, waypoints), unreachable queries included.  The memo is
+    cleared whenever the structure changes, and structure changes only
+    through :meth:`add_node`, :meth:`connect` and :meth:`remove_link`:
+    node and link ``tags`` and node ``kind`` must not be changed after
+    insertion.  Element *state* (attached faults, degraded spans) may
+    change freely, because :meth:`profile` re-folds the path on every
+    call.
+
     Examples
     --------
     >>> from repro.units import Gbps, ms
@@ -153,6 +162,9 @@ class Topology:
         self.name = name
         self._graph = nx.Graph()
         self._nodes: Dict[str, Node] = {}
+        # Normalized query -> Path, or the RoutingError message when no
+        # route exists.  Cleared on every structural change.
+        self._routes: Dict[tuple, Union[Path, str]] = {}
 
     # -- construction -----------------------------------------------------------
     def add_node(self, node: Node) -> Node:
@@ -160,6 +172,7 @@ class Topology:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._graph.add_node(node.name)
+        self._routes.clear()
         return node
 
     def add_host(self, name: str, **kwargs) -> Host:
@@ -179,6 +192,7 @@ class Topology:
             raise TopologyError("connect() requires a Link")
         self._graph.add_edge(na.name, nb.name, link=link,
                              weight=link.delay.s + 1e-9)
+        self._routes.clear()
         return link
 
     def remove_link(self, a, b) -> None:
@@ -186,6 +200,7 @@ class Topology:
         if not self._graph.has_edge(na.name, nb.name):
             raise TopologyError(f"no link between {na.name!r} and {nb.name!r}")
         self._graph.remove_edge(na.name, nb.name)
+        self._routes.clear()
 
     # -- lookup -------------------------------------------------------------------
     def _resolve(self, ref) -> Node:
@@ -256,11 +271,25 @@ class Topology:
         in order.
         """
         nsrc, ndst = self._resolve(src), self._resolve(dst)
-        require = frozenset(require_link_tags)
-        forbid_l = frozenset(forbid_link_tags)
-        forbid_nt = frozenset(forbid_node_tags)
-        forbid_nk = frozenset(forbid_node_kinds)
+        key = (nsrc.name, ndst.name,
+               frozenset(require_link_tags), frozenset(forbid_link_tags),
+               frozenset(forbid_node_tags), frozenset(forbid_node_kinds),
+               tuple(self._resolve(w).name for w in via))
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._search(*key)
+        if isinstance(route, str):
+            raise RoutingError(route)
+        return route
 
+    def _search(self, src: str, dst: str, require: frozenset,
+                forbid_l: frozenset, forbid_nt: frozenset,
+                forbid_nk: frozenset, via: Tuple[str, ...]) -> Union[Path, str]:
+        """Run the policy-filtered shortest-path search for one query.
+
+        Returns the :class:`Path`, or the :class:`RoutingError` message
+        when some leg has no route.
+        """
         def link_ok(u: str, v: str, data: dict) -> bool:
             link: Link = data["link"]
             if require and not require <= link.tags:
@@ -271,7 +300,7 @@ class Topology:
 
         def node_ok(name: str) -> bool:
             node = self._nodes[name]
-            if name in (nsrc.name, ndst.name):
+            if name in (src, dst):
                 return True
             if forbid_nt and node.tags & forbid_nt:
                 return False
@@ -281,16 +310,14 @@ class Topology:
 
         view = nx.subgraph_view(self._graph, filter_node=node_ok,
                                 filter_edge=lambda u, v: link_ok(u, v, self._graph[u][v]))
-        waypoints = [nsrc.name] + [self._resolve(w).name for w in via] + [ndst.name]
+        waypoints = [src, *via, dst]
         names: List[str] = [waypoints[0]]
         for a, b in zip(waypoints, waypoints[1:]):
             try:
                 seg = nx.shortest_path(view, a, b, weight="weight")
             except (nx.NetworkXNoPath, nx.NodeNotFound):
-                raise RoutingError(
-                    f"no route from {a!r} to {b!r} in {self.name!r} under the "
-                    f"given policy constraints"
-                ) from None
+                return (f"no route from {a!r} to {b!r} in {self.name!r} "
+                        f"under the given policy constraints")
             names.extend(seg[1:])
         nodes = tuple(self._nodes[n] for n in names)
         links = tuple(self._graph[u][v]["link"] for u, v in zip(names, names[1:]))

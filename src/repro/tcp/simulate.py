@@ -83,6 +83,12 @@ class _ProgressiveFiller:
     matching the scalar loop's association, and the zero weights
     contributed by unaffected flows are exact no-ops because every
     partial sum is non-negative.
+
+    Infinite-capacity links never constrain a flow, so they are dropped
+    from the incidence, and a flow that crosses no remaining link is
+    *unconstrained*: it is granted its full demand (even an infinite
+    one) outside the filling rounds.  This keeps ``inf - inf`` out of
+    the headroom and remaining-capacity arithmetic.
     """
 
     def __init__(self, usage: np.ndarray, capacities: np.ndarray) -> None:
@@ -91,11 +97,13 @@ class _ProgressiveFiller:
         self.n_flows, self.n_links = usage.shape
         if capacities.shape != (self.n_links,):
             raise ConfigurationError("max_min_fair_allocation: shape mismatch")
+        usage = usage & ~np.isposinf(capacities)
         self.usage = usage
         self.capacities = capacities
         self._flat_rows, self._flat_cols = np.nonzero(usage)
         counts = np.bincount(self._flat_rows, minlength=self.n_flows)
         has_links = counts > 0
+        self._unconstrained = ~has_links
         seg_ptr = np.cumsum(counts) - counts
         self._flows_with_links = np.nonzero(has_links)[0]
         self._seg_starts = seg_ptr[has_links]
@@ -115,7 +123,7 @@ class _ProgressiveFiller:
         n_flows, n_links = self.n_flows, self.n_links
         flat_rows, flat_cols = self._flat_rows, self._flat_cols
         alloc = np.zeros(n_flows)
-        frozen = demands <= 0.0
+        frozen = (demands <= 0.0) | self._unconstrained
         n_frozen = int(np.count_nonzero(frozen))
         remaining_cap = self.capacities.copy()
         # Active-flow count per link, maintained incrementally (the counts
@@ -186,15 +194,19 @@ class _ProgressiveFiller:
                                minlength=n_links)
             frozen = frozen | to_freeze
             n_frozen += int(np.count_nonzero(to_freeze))
-        return np.minimum(alloc, demands)
+        return self._finish(alloc, demands)
+
+    def _finish(self, alloc: np.ndarray, demands: np.ndarray) -> np.ndarray:
+        """Cap allocations at demand; unconstrained flows get their demand."""
+        return np.where(self._unconstrained, demands,
+                        np.minimum(alloc, demands))
 
     def _allocate_python(self, demands: np.ndarray) -> np.ndarray:
         """Scalar reference: per-flow loops for limits and capacity deltas."""
         usage = self.usage
         n_flows, n_links = self.n_flows, self.n_links
         alloc = np.zeros(n_flows)
-        frozen = demands <= 0
-        alloc[frozen] = 0.0
+        frozen = (demands <= 0) | self._unconstrained
         remaining_cap = self.capacities.copy()
         for _ in range(n_flows + n_links + 1):
             active = ~frozen
@@ -240,7 +252,7 @@ class _ProgressiveFiller:
             remaining_cap = remaining_cap - taken
             remaining_cap = np.maximum(remaining_cap, 0.0)
             frozen |= to_freeze
-        return np.minimum(alloc, demands)
+        return self._finish(alloc, demands)
 
 
 def max_min_fair_allocation(

@@ -39,6 +39,17 @@ class TestCompare:
         assert rows[0]["ratio"] == pytest.approx(1.0)
         assert not rows[0]["regressed"]
 
+    def test_per_scenario_calibration_preferred(self):
+        # The host ran 2x slower while "a" was timed, and only the
+        # calibration timed alongside "a" saw it.
+        base = dict(_payload({"a": 1.0}), calibrations={"a": 0.002})
+        cur = dict(_payload({"a": 2.0}), calibrations={"a": 0.004})
+        assert bench.compare(cur, base)[0]["ratio"] == pytest.approx(1.0)
+        # Without a per-scenario value on both sides, the suite-wide
+        # calibration applies.
+        rows = bench.compare(cur, _payload({"a": 1.0}))
+        assert rows[0]["ratio"] == pytest.approx(2.0)
+
     def test_speedup_passes(self):
         rows = bench.compare(_payload({"a": 0.2}), _payload({"a": 1.0}))
         assert not rows[0]["regressed"]
@@ -97,11 +108,21 @@ class TestScenarios:
         result = bench.run_scenario("maxmin.numpy", repeats=1, quick=True)
         assert result["seconds"] > 0.0
 
+    def test_sub_millisecond_scenario_is_timed_over_many_calls(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(bench, "MIN_TIMED_S", 0.02)
+        result = bench.run_scenario("maxmin.numpy", repeats=2, quick=True)
+        # Each repeat loops until 20 ms are timed; ``seconds`` is per call.
+        assert result["calls"] > 2
+        assert result["seconds"] * result["calls"] >= 0.02
+        assert result["calibration"] > 0.0
+
     def test_run_suite_payload_shape(self):
         payload = bench.run_suite(["maxmin.numpy"], repeats=1, quick=True)
         assert payload["schema"] == bench.SCHEMA_VERSION
         assert payload["quick"] is True
         assert set(payload["results"]) == {"maxmin.numpy"}
+        assert set(payload["calibrations"]) == {"maxmin.numpy"}
         assert payload["calibration"] > 0.0
 
 

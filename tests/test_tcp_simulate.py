@@ -1,5 +1,7 @@
 """Tests for the multi-flow fluid simulation and max-min fairness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,33 @@ class TestMaxMinFairness:
             max_min_fair_allocation(np.array([1.0]),
                                     np.array([[True, False]]),
                                     np.array([1.0]))
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_infinite_demand_on_no_link_raises_no_warning(self, backend):
+        # Flow 0 crosses no link, so its infinite demand is granted
+        # whole; flow 1 needs a second round, whose headroom arithmetic
+        # used to compute inf - inf for flow 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            alloc = max_min_fair_allocation(
+                np.array([np.inf, 100.0]),
+                np.array([[False], [True]]),
+                np.array([10.0]), backend=backend)
+        assert alloc.tolist() == [np.inf, 10.0]
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_infinite_demand_on_infinite_link_leaves_sharers_finite(
+            self, backend):
+        # Both flows cross the infinite link; only flow 1 also crosses the
+        # 10-unit one.  Granting flow 0 an infinite rate must not turn the
+        # infinite link's remaining capacity (and flow 1's rate) into NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            alloc = max_min_fair_allocation(
+                np.array([np.inf, 100.0]),
+                np.array([[True, False], [True, True]]),
+                np.array([np.inf, 10.0]), backend=backend)
+        assert alloc.tolist() == [np.inf, 10.0]
 
 
 class TestMultiFlow:
