@@ -22,9 +22,12 @@ Each tick advances *classes*, not flows:
    a per-class heap of finish thresholds expressed in cumulative
    per-stream delivered bits, so neither ever walks the population.
 
-Per-tick cost is O(classes + links); total birth/death cost is
-O(flows log flows) over the whole run.  The engine is deterministic —
-loss is an expectation, not a sample — so it needs no RNG.
+Per-tick elementwise work is O(classes + links).  Each max-min filling
+round costs O(live incidence + links): only classes offering traffic,
+and their link entries, take part, and each round drops the classes it
+freezes.  Total birth/death cost is O(flows log flows) over the whole
+run.  The engine is deterministic — loss is an expectation, not a
+sample — so it needs no RNG.
 
 This is the approximate tier: see :mod:`repro.fluid` for the accuracy
 contract, and ``benchmarks/bench_megaflows.py`` for the gate.

@@ -70,25 +70,39 @@ class _ProgressiveFiller:
     """Progressive-filling max-min allocator for a fixed (usage, capacities).
 
     The flow/link incidence never changes across a simulation, so the
-    structural work — ``np.nonzero`` of the usage matrix, per-flow segment
-    boundaries for ``np.minimum.reduceat``, the initial active-flow count
-    per link — is done once here and the per-tick :meth:`allocate` call
-    only touches O(F + L + nnz) arrays per round.
+    structural work — ``np.nonzero`` of the usage matrix and the link
+    count of each flow — is done once here.
 
-    Both backends walk the same round structure; they differ only in how
-    each round's per-flow limits and per-link capacity deltas are
-    evaluated.  Bit-identity notes: per-flow limits are plain minima
-    (order-independent and exact); per-link deltas are accumulated in
-    flow order via ``np.bincount`` over the row-major flat incidence,
-    matching the scalar loop's association, and the zero weights
-    contributed by unaffected flows are exact no-ops because every
-    partial sum is non-negative.
+    Both backends walk the same round structure: each round either
+    freezes every flow whose demand fits under its fair-share limit, or,
+    when none does, saturates the tightest link and freezes the flows
+    crossing it.  They differ only in how each round's per-flow limits
+    and per-link capacity deltas are evaluated.
 
     Infinite-capacity links never constrain a flow, so they are dropped
     from the incidence, and a flow that crosses no remaining link is
     *unconstrained*: it is granted its full demand (even an infinite
     one) outside the filling rounds.  This keeps ``inf - inf`` out of
-    the headroom and remaining-capacity arithmetic.
+    the headroom and remaining-capacity arithmetic.  NaN or negative
+    capacities are rejected here, and NaN demands by :meth:`allocate`.
+
+    The numpy backend works on the *live* set only: flows with demand
+    > 0 that cross at least one finite link, plus their incidence
+    entries in row-major (flow) order.  Two invariants hold:
+
+    * every live flow crosses at least one finite link, and every link
+      it crosses carries at least one live flow (itself), so its limit
+      is a finite fair share and no round runs out of links to fill;
+    * each round freezes at least one flow (the one with the smallest
+      limit, if no flow is satisfied), and frozen flows leave the live
+      set, so the loop runs at most once per live flow.
+
+    Bit-identity with the scalar reference: per-flow limits are plain
+    minima (order-independent and exact); per-link deltas are
+    accumulated in flow order via ``np.bincount``, matching the scalar
+    loop's association.  Flows outside the live set would only add
+    ``+0.0`` to those sequential sums, which is exact, so leaving them
+    out changes no bit.
     """
 
     def __init__(self, usage: np.ndarray, capacities: np.ndarray) -> None:
@@ -97,103 +111,73 @@ class _ProgressiveFiller:
         self.n_flows, self.n_links = usage.shape
         if capacities.shape != (self.n_links,):
             raise ConfigurationError("max_min_fair_allocation: shape mismatch")
+        if not (capacities >= 0.0).all():
+            raise ConfigurationError(
+                "max_min_fair_allocation: capacities must be non-negative "
+                "numbers (got NaN or a negative value)")
         usage = usage & ~np.isposinf(capacities)
         self.usage = usage
         self.capacities = capacities
-        self._flat_rows, self._flat_cols = np.nonzero(usage)
-        counts = np.bincount(self._flat_rows, minlength=self.n_flows)
-        has_links = counts > 0
-        self._unconstrained = ~has_links
-        seg_ptr = np.cumsum(counts) - counts
-        self._flows_with_links = np.nonzero(has_links)[0]
-        self._seg_starts = seg_ptr[has_links]
-        self._links_per_flow_active0 = usage.sum(axis=0).astype(np.float64)
-        self._finite_caps = bool(np.isfinite(capacities).all())
+        self._flat_cols = np.nonzero(usage)[1]
+        self._counts = usage.sum(axis=1)
+        self._unconstrained = self._counts == 0
 
     def allocate(self, demands: np.ndarray,
                  backend: str = "numpy") -> np.ndarray:
         demands = np.asarray(demands, dtype=np.float64)
         if demands.shape != (self.n_flows,):
             raise ConfigurationError("max_min_fair_allocation: shape mismatch")
+        if np.isnan(demands).any():
+            raise ConfigurationError("max_min_fair_allocation: NaN demand")
         if backend == "numpy":
             return self._allocate_numpy(demands)
         return self._allocate_python(demands)
 
     def _allocate_numpy(self, demands: np.ndarray) -> np.ndarray:
-        n_flows, n_links = self.n_flows, self.n_links
-        flat_rows, flat_cols = self._flat_rows, self._flat_cols
-        alloc = np.zeros(n_flows)
-        frozen = (demands <= 0.0) | self._unconstrained
-        n_frozen = int(np.count_nonzero(frozen))
+        n_links = self.n_links
+        alloc = np.zeros(self.n_flows)
+        live = (demands > 0.0) & ~self._unconstrained
+        ids = np.nonzero(live)[0]
+        cols = self._flat_cols[np.repeat(live, self._counts)]
+        counts = self._counts[ids]
+        # A live flow's allocation is still zero, so its headroom is its
+        # whole demand.
+        want = demands[ids]
         remaining_cap = self.capacities.copy()
-        # Active-flow count per link, maintained incrementally (the counts
+        # Live-flow count per link, maintained incrementally (the counts
         # are small exact integers, so float bookkeeping is lossless).
-        apl = self._links_per_flow_active0.copy()
-        if n_frozen:
-            apl -= np.bincount(flat_cols, weights=frozen[flat_rows],
-                               minlength=n_links)
-        limit = np.empty(n_flows)
-        for _ in range(n_flows + n_links + 1):
-            if n_frozen >= n_flows:
-                break
-            active = ~frozen
-            # Fair share on each link among its active flows.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                share = np.where(apl > 0.0,
-                                 remaining_cap / np.maximum(apl, 1.0),
-                                 np.inf)
-            # Each flow is limited by the tightest link it crosses:
-            # a segmented min over the flat incidence list.
-            limit.fill(np.inf)
-            if self._seg_starts.size:
-                limit[self._flows_with_links] = np.minimum.reduceat(
-                    share[flat_cols], self._seg_starts)
-            # Flows whose demand is below their limit are satisfied; freeze
-            # them and recompute shares with the released capacity.
-            headroom = demands - alloc
-            satisfied = active & (headroom <= limit + 1e-9)
-            n_sat = int(np.count_nonzero(satisfied))
-            if n_sat:
-                grant = np.where(satisfied, headroom, 0.0)
-                alloc = alloc + grant
-                remaining_cap = remaining_cap - np.bincount(
-                    flat_cols, weights=grant[flat_rows], minlength=n_links)
-                apl -= np.bincount(flat_cols, weights=satisfied[flat_rows],
-                                   minlength=n_links)
-                frozen = frozen | satisfied
-                n_frozen += n_sat
-                continue
-            # No flow is demand-satisfied: saturate the tightest link only.
-            apl_pos = apl > 0.0
-            finite_links = share[apl_pos]
-            if self._finite_caps:
-                # remaining_cap stays finite, so every busy link's share
-                # is finite — the defensive isfinite scans are no-ops.
-                if finite_links.size == 0:
-                    alloc[active] = demands[active]
-                    break
-                min_share = finite_links.min()
-            elif (finite_links.size == 0
-                    or not np.isfinite(finite_links).any()):
-                alloc[active] = demands[active]
-                break
+        apl = np.bincount(cols, minlength=n_links).astype(np.float64)
+        while ids.size:
+            # Fair share on each link among its live flows; each flow is
+            # limited by the tightest link it crosses (a segmented min).
+            share = remaining_cap / np.maximum(apl, 1.0)
+            limit = np.minimum.reduceat(share[cols],
+                                        np.cumsum(counts) - counts)
+            # Flows whose demand is below their limit are satisfied;
+            # freeze them and recompute shares with the released capacity.
+            freeze = want <= limit + 1e-9
+            saturate = not freeze.any()
+            if saturate:
+                # Saturate the tightest link only: a flow crosses it
+                # exactly when its own limit is the smallest share.
+                freeze = limit <= limit.min() + 1e-9
+                taken = limit[freeze]
             else:
-                min_share = finite_links[np.isfinite(finite_links)].min()
-            bottleneck = apl_pos & (share <= min_share + 1e-9)
-            to_freeze = np.zeros(n_flows, dtype=bool)
-            to_freeze[flat_rows[bottleneck[flat_cols]]] = True
-            to_freeze &= active
-            taken_per_flow = np.where(to_freeze, limit, 0.0)
-            alloc = alloc + taken_per_flow
-            remaining_cap = np.maximum(
-                remaining_cap - np.bincount(
-                    flat_cols, weights=taken_per_flow[flat_rows],
-                    minlength=n_links),
-                0.0)
-            apl -= np.bincount(flat_cols, weights=to_freeze[flat_rows],
-                               minlength=n_links)
-            frozen = frozen | to_freeze
-            n_frozen += int(np.count_nonzero(to_freeze))
+                taken = want[freeze]
+            alloc[ids[freeze]] += taken
+            if freeze.all():
+                break
+            hit = np.repeat(freeze, counts)
+            hit_cols = cols[hit]
+            remaining_cap = remaining_cap - np.bincount(
+                hit_cols, weights=np.repeat(taken, counts[freeze]),
+                minlength=n_links)
+            if saturate:
+                remaining_cap = np.maximum(remaining_cap, 0.0)
+            apl -= np.bincount(hit_cols, minlength=n_links)
+            keep = ~freeze
+            ids, counts, want, cols = (ids[keep], counts[keep], want[keep],
+                                       cols[~hit])
         return self._finish(alloc, demands)
 
     def _finish(self, alloc: np.ndarray, demands: np.ndarray) -> np.ndarray:
@@ -282,6 +266,11 @@ def max_min_fair_allocation(
     -------
     Shape (F,) allocated rates; each flow gets at most its demand and links
     are never oversubscribed.  Classic progressive-filling algorithm.
+
+    Raises
+    ------
+    ConfigurationError
+        On mismatched shapes, a NaN or negative capacity, or a NaN demand.
 
     Callers allocating repeatedly over a fixed topology (the multi-flow
     tick loop) hold a :class:`_ProgressiveFiller` instead, which hoists

@@ -28,8 +28,9 @@ from repro.errors import ConfigurationError
 from repro.fluid import DEFAULT_SWITCHOVER, FluidEngine, build_flow_classes
 from repro.netsim import Link, Topology
 from repro.netsim.flow import FlowSpec
-from repro.tcp.simulate import MultiFlowSimulation
+from repro.tcp.simulate import MultiFlowSimulation, _ProgressiveFiller
 from repro.units import Gbps, MB, bytes_, ms, seconds
+from repro.workloads import traffic_matrix, wan_backbone
 
 
 def chain_topology(n_routers: int = 3, n_hosts: int = 8,
@@ -191,6 +192,31 @@ def test_hybrid_above_switchover_takes_fluid():
     assert sim.backend == "fluid"
     progress = sim.run(until=seconds(1))
     assert sum(p.delivered.bits for p in progress.values()) > 0
+
+
+def test_fluid_engine_allocator_backends_bit_identical(monkeypatch):
+    """A gravity matrix above the switchover, run to completion, gives
+    byte-equal results whether the engine's filler takes the numpy path
+    (live-set rounds) or the scalar reference."""
+    topo = wan_backbone(6)
+    specs = traffic_matrix([f"site{i}" for i in range(6)], n_flows=300,
+                           rng=np.random.default_rng(5), mean_size=MB(4),
+                           arrival_window=seconds(2)).specs()
+
+    def run():
+        sim = MultiFlowSimulation(topo, specs, backend="hybrid")
+        assert sim.backend == "fluid"
+        sim.run()
+        return sim.fluid_result
+
+    fast = run()
+    monkeypatch.setattr(_ProgressiveFiller, "_allocate_numpy",
+                        _ProgressiveFiller._allocate_python)
+    slow = run()
+    assert fast.ticks == slow.ticks
+    for name in ("delivered_bits", "finish_s", "queues_bits",
+                 "class_delivered_bits"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
 
 
 def test_hybrid_custom_switchover():

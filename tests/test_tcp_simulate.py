@@ -100,6 +100,21 @@ class TestMaxMinFairness:
                 np.array([np.inf, 10.0]), backend=backend)
         assert alloc.tolist() == [np.inf, 10.0]
 
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_nan_or_negative_capacity_rejected(self, backend, bad):
+        with pytest.raises(ConfigurationError, match="capacities"):
+            max_min_fair_allocation(
+                np.array([1.0, 1.0]), np.array([[True, True], [False, True]]),
+                np.array([10.0, bad]), backend=backend)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_nan_demand_rejected(self, backend):
+        with pytest.raises(ConfigurationError, match="NaN demand"):
+            max_min_fair_allocation(
+                np.array([1.0, np.nan]), np.array([[True], [True]]),
+                np.array([10.0]), backend=backend)
+
 
 class TestMultiFlow:
     def test_single_flow_completes(self, clean_path_topology):

@@ -39,18 +39,24 @@ SIM_SETTINGS = settings(max_examples=12, deadline=None)
 
 @st.composite
 def allocation_problems(draw):
-    n_flows = draw(st.integers(1, 12))
+    n_flows = draw(st.integers(1, 60))
     n_links = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     usage = rng.random((n_flows, n_links)) < draw(
         st.floats(0.1, 0.9, allow_nan=False))
+    # Flows that cross no link at all.
+    usage[rng.random(n_flows) < draw(st.floats(0.0, 0.3))] = False
     demands = rng.random(n_flows) * draw(st.floats(0.5, 200.0))
+    # Idle flows: a drawn fraction of exactly-zero demands, up to all.
+    demands[rng.random(n_flows) < draw(st.floats(0.0, 1.0))] = 0.0
     if draw(st.booleans()):
         demands[rng.integers(0, n_flows)] = np.inf
     capacities = rng.random(n_links) * draw(st.floats(0.5, 100.0)) + 1e-3
     if draw(st.booleans()):
         capacities[rng.integers(0, n_links)] = np.inf
+    if draw(st.booleans()):
+        capacities[rng.integers(0, n_links)] = 0.0
     return demands, usage, capacities
 
 
