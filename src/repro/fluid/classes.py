@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..netsim.flow import FlowSpec
-from ..tcp.congestion import CongestionControl
+from ..tcp.congestion import CongestionControl, algorithm_key
 
 __all__ = ["DEFAULT_PHASE_SHARDS", "FlowClass", "build_flow_classes"]
 
@@ -32,21 +32,6 @@ __all__ = ["DEFAULT_PHASE_SHARDS", "FlowClass", "build_flow_classes"]
 #: drains the queue and under-registers congestion) while keeping the
 #: class count — and the max-min filler cost — within a small multiple.
 DEFAULT_PHASE_SHARDS = 8
-
-
-def algorithm_key(algo: CongestionControl):
-    """Group key for a congestion-control instance.
-
-    Algorithms are stateless by contract, so instances of the same class
-    with equal attributes are interchangeable — the common
-    ``algorithm=None`` path builds one ``Reno()`` per flow, which must
-    collapse into a single group (the per-flow kernels use the same
-    rule).
-    """
-    try:
-        return (type(algo), tuple(sorted(vars(algo).items())))
-    except TypeError:
-        return id(algo)
 
 
 @dataclass
@@ -113,25 +98,39 @@ def build_flow_classes(
     once, the queue drains, and congestion under-registers.  A handful
     of shards restores the stagger at class-level cost.
     """
+    rtts_f = np.asarray(rtts, dtype=np.float64).tolist()
+    mss_f = np.asarray(mss_bits, dtype=np.float64).tolist()
+    rwnd_f = np.asarray(rwnd_pkts, dtype=np.float64).tolist()
+    loss_f = np.asarray(loss_p, dtype=np.float64).tolist()
+    caps_f = np.asarray(rate_caps, dtype=np.float64).tolist()
+    # Algorithms are usually one shared instance; key each object once.
+    algo_keys: Dict[int, object] = {}
     grouped: Dict[tuple, List[int]] = {}
     for f, spec in enumerate(specs):
-        key = (flow_links[f], algorithm_key(algorithms[f]),
-               spec.parallel_streams, float(rate_caps[f]), float(rtts[f]),
-               float(mss_bits[f]), float(rwnd_pkts[f]), float(loss_p[f]))
+        algo = algorithms[f]
+        akey = algo_keys.get(id(algo))
+        if akey is None:
+            akey = algo_keys[id(algo)] = algorithm_key(algo)
+        key = (flow_links[f], akey, spec.parallel_streams, caps_f[f],
+               rtts_f[f], mss_f[f], rwnd_f[f], loss_f[f])
         grouped.setdefault(key, []).append(f)
+
+    # Per-stream bits: the same ``size.bits / parallel_streams`` division
+    # as FlowSpec.per_stream_size(), inf for unbounded flows.
+    start_all = np.array([s.start.s for s in specs], dtype=np.float64)
+    per_stream_all = (
+        np.array([s.size.bits if s.size is not None else np.inf
+                  for s in specs], dtype=np.float64)
+        / np.array([s.parallel_streams for s in specs], dtype=np.float64))
 
     shards = max(1, int(n_shards))
     classes: List[FlowClass] = []
     for key, members in grouped.items():
         ids = np.asarray(members, dtype=np.int64)
-        starts = np.array([specs[f].start.s for f in members],
-                          dtype=np.float64)
+        starts = start_all[ids]
         order = np.lexsort((ids, starts))
         ids, starts = ids[order], starts[order]
-        per_stream = np.array([
-            (specs[f].per_stream_size().bits
-             if specs[f].size is not None else np.inf)
-            for f in ids], dtype=np.float64)
+        per_stream = per_stream_all[ids]
         first = int(ids[0])
         k = min(shards, ids.size)
         for j in range(k):
@@ -142,12 +141,12 @@ def build_flow_classes(
                 index=len(classes),
                 algorithm=algorithms[first],
                 link_indices=flow_links[first],
-                rtt_s=float(rtts[first]),
-                mss_bits=float(mss_bits[first]),
-                rwnd_pkts=float(rwnd_pkts[first]),
-                random_loss=float(loss_p[first]),
+                rtt_s=rtts_f[first],
+                mss_bits=mss_f[first],
+                rwnd_pkts=rwnd_f[first],
+                random_loss=loss_f[first],
                 streams_per_flow=int(specs[first].parallel_streams),
-                rate_cap_bps=float(rate_caps[first]),
+                rate_cap_bps=caps_f[first],
                 flow_ids=ids[sel],
                 starts_s=starts[sel],
                 per_stream_bits=per_stream[sel],

@@ -18,16 +18,22 @@ Each tick advances *classes*, not flows:
    ssthresh, and the receive-window cap mirroring the exact kernels'
    arithmetic (the same :class:`~repro.tcp.congestion.CongestionControl`
    batch methods);
-5. births advance a pointer over start-time-sorted members; deaths pop
-   a per-class heap of finish thresholds expressed in cumulative
-   per-stream delivered bits, so neither ever walks the population.
+5. births take one slice per tick off the start-sorted schedule;
+   deaths pop a per-class heap of finish thresholds expressed in
+   cumulative per-stream delivered bits, so neither ever walks the
+   population.
 
-Per-tick elementwise work is O(classes + links).  Each max-min filling
-round costs O(live incidence + links): only classes offering traffic,
-and their link entries, take part, and each round drops the classes it
-freezes.  Total birth/death cost is O(flows log flows) over the whole
-run.  The engine is deterministic — loss is an expectation, not a
-sample — so it needs no RNG.
+Per-tick elementwise work is O(classes + links).  On a tick where no
+link is oversubscribed the max-min filler is skipped outright (every
+class gets its demand; see :meth:`FluidEngine.run` for why that is
+exact).  Otherwise each filling round costs O(live incidence + links):
+only classes offering traffic, and their link entries, take part, and
+each round drops the classes it freezes.  Births cost a few array ops
+per tick plus one heap push per bounded member; deaths cost one heap
+pop per member, read and written back once per class that crosses a
+threshold: O(flows log flows) over the whole run.  The engine is
+deterministic — loss is an expectation, not a sample — so it needs no
+RNG.
 
 This is the approximate tier: see :mod:`repro.fluid` for the accuracy
 contract, and ``benchmarks/bench_megaflows.py`` for the gate.
@@ -36,14 +42,16 @@ contract, and ``benchmarks/bench_megaflows.py`` for the gate.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import SimulationError
+from ..tcp.congestion import CongestionControl, algorithm_key
 from ..tcp.simulate import _ProgressiveFiller
-from .classes import FlowClass, algorithm_key
+from .classes import FlowClass
 
 __all__ = ["DEFAULT_SWITCHOVER", "FluidEngine", "FluidResult"]
 
@@ -51,6 +59,11 @@ __all__ = ["DEFAULT_SWITCHOVER", "FluidEngine", "FluidResult"]
 #: streams (flows x parallel streams) take the fluid engine; smaller
 #: populations stay on the bit-identical per-flow kernels.
 DEFAULT_SWITCHOVER = 1024
+
+#: Relative headroom every link must keep for a tick to skip the max-min
+#: filler: far above the rounding in the filler's running sums, far
+#: below any load the filler would cut.
+_SLACK = 1e-9
 
 
 @dataclass
@@ -111,6 +124,9 @@ class FluidEngine:
             usage[c, list(cls.link_indices)] = True
         self._usage = usage
         self._filler = _ProgressiveFiller(usage, self._caps)
+        # Offered load at or below this on every link skips the filler
+        # (see :meth:`run`); NaN or inf loads compare False.
+        self._slack_caps = self._caps * (1.0 - _SLACK)
 
         self._rtt = np.array([c.rtt_s for c in self.classes])
         self._mss = np.array([c.mss_bits for c in self.classes])
@@ -143,7 +159,22 @@ class FluidEngine:
         sample_interval_s: float = 1.0,
     ) -> FluidResult:
         """Step the populations until every bounded flow finishes (or the
-        horizon elapses).  One-shot: each call restarts from t=0."""
+        horizon elapses).  One-shot: each call restarts from t=0.
+
+        A tick whose offered load is at most ``cap * (1 - 1e-9)`` on
+        every link grants each class its demand without calling the
+        max-min filler.  That is exactly what the filler would return.
+        Frozen classes only ever take their own wants out of a link, so
+        in any filling round the live classes on a link want, in total,
+        at most the capacity left on it; their mean want, and hence the
+        smallest want among them, is at most the link's fair share.  The
+        live class with the smallest want overall is therefore within
+        its limit on every link it crosses and is frozen at its full
+        want.  No round ever saturates a link, and every class ends at
+        ``0.0 + want == demand``.  The 1e-9 relative margin dwarfs the
+        rounding in the filler's running remaining-capacity sums, and
+        NaN or inf loads fail the comparison and take the filler.
+        """
         classes = self.classes
         n_cls = len(classes)
         n_flows = sum(c.population for c in classes)
@@ -151,6 +182,7 @@ class FluidEngine:
         rtt, mss, rwnd = self._rtt, self._mss, self._rwnd
         rwnd_cap, lossp = self._rwnd_cap, self._lossp
         streams_c, flow_cap = self._streams, self._flow_cap
+        slack_caps = self._slack_caps
         usage_f = self._usage.astype(np.float64)
         # Congestion pressure per congested tick.  With an RNG the
         # per-flow model flags each stream Bernoulli(dt/rtt); without
@@ -165,6 +197,8 @@ class FluidEngine:
         # Per-flow demand cap lifted to the class: n_live * cap, only
         # evaluated for capped classes (0 * inf is NaN).
         capped = np.nonzero(np.isfinite(flow_cap))[0]
+        groups = self._algo_groups
+        single_algo = groups[0][0] if len(groups) == 1 else None
 
         # Global birth schedule: (start, flow) ascending across classes.
         b_starts = np.concatenate([c.starts_s for c in classes])
@@ -175,6 +209,8 @@ class FluidEngine:
         order = np.lexsort((b_flows, b_starts))
         b_starts, b_flows = b_starts[order], b_flows[order]
         b_class, b_size = b_class[order], b_size[order]
+        birth_times = b_starts.tolist()
+        n_births = len(birth_times)
         bp = 0  # birth pointer
 
         # Class population state.  Slow start is tracked as the
@@ -195,12 +231,18 @@ class FluidEngine:
         agg = np.zeros(n_cls)          # class delivered bits (conserved)
         queues = np.zeros(self._caps.size)
 
-        # Flow-level outcome state (touched only at birth/death).
+        # Flow-level outcome state (touched only at birth/death).  Class
+        # membership is fixed, so each flow's class, stream count and
+        # per-stream size are known before the first tick.
+        class_of = np.empty(n_flows, dtype=np.int64)
+        class_of[b_flows] = b_class
+        streams_of = streams_c[class_of]
+        size_of = np.empty(n_flows)
+        size_of[b_flows] = b_size
         started = np.zeros(n_flows, dtype=bool)
         d_birth = np.zeros(n_flows)
-        streams_of = np.zeros(n_flows)
-        class_of = np.zeros(n_flows, dtype=np.int64)
         finish_s = np.full(n_flows, np.nan)
+        streams_per_flow = streams_c.tolist()
         heaps: List[list] = [[] for _ in range(n_cls)]
         next_death = np.full(n_cls, np.inf)
         n_unfinished = n_flows
@@ -213,23 +255,28 @@ class FluidEngine:
         for tick in range(max_ticks):
             if now >= horizon_s:
                 break
-            while bp < b_starts.size and b_starts[bp] <= now:
-                f, c = int(b_flows[bp]), int(b_class[bp])
-                started[f] = True
-                class_of[f] = c
-                streams_of[f] = streams_c[c]
-                d_birth[f] = D[c]
-                n_flows_live[c] += 1
-                n_streams_live[c] += streams_c[c]
-                if np.isfinite(b_size[bp]):
-                    heapq.heappush(heaps[c], (float(D[c] + b_size[bp]), f))
-                    next_death[c] = heaps[c][0][0]
-                bp += 1
+            hi = bisect_right(birth_times, now, bp)
+            if hi > bp:
+                born, cls_b = b_flows[bp:hi], b_class[bp:hi]
+                started[born] = True
+                d_birth[born] = D[cls_b]
+                # Unbuffered adds in birth order: the same sequential
+                # sums as one += per birth.
+                np.add.at(n_flows_live, cls_b, 1.0)
+                np.add.at(n_streams_live, cls_b, streams_c[cls_b])
+                thresholds = (D[cls_b] + b_size[bp:hi]).tolist()
+                for c, f, thr in zip(cls_b.tolist(), born.tolist(),
+                                     thresholds):
+                    if thr < np.inf:  # unbounded members never die
+                        heap = heaps[c]
+                        heapq.heappush(heap, (thr, f))
+                        next_death[c] = heap[0][0]
+                bp = hi
 
             live = n_streams_live > 0.0
             if not live.any():
-                if bp < b_starts.size:
-                    now = min(float(b_starts[bp]), horizon_s)
+                if bp < n_births:
+                    now = min(birth_times[bp], horizon_s)
                     continue
                 if not until_given:
                     break
@@ -242,11 +289,12 @@ class FluidEngine:
                 demands[capped] = np.minimum(
                     demands[capped], n_flows_live[capped] * flow_cap[capped])
 
-            alloc = allocate(demands)
+            offered = demands @ usage_f
+            alloc = (demands if (offered <= slack_caps).all()
+                     else allocate(demands))
 
             # Virtual queues: same advance rule as the per-flow model,
             # driven by class-aggregate offered load.
-            offered = demands @ usage_f
             queues = np.maximum(0.0, queues + (offered - self._caps) * dt)
             overflowing = queues > self._buffers
             np.minimum(queues, self._buffers, out=queues)
@@ -272,64 +320,63 @@ class FluidEngine:
 
             # Deliver and harvest deaths (heap pops touch only classes
             # whose cumulative delivered crossed a member's threshold).
+            # Each such class's counters are read and written back once;
+            # Python float arithmetic rounds exactly like numpy float64.
             inc = rate_ps * dt
             D += inc
             agg += inc * n_streams_live
-            for c in np.nonzero(D >= next_death)[0]:
+            end = now + dt
+            for c in np.nonzero(D >= next_death)[0].tolist():
                 heap = heaps[c]
-                while heap and heap[0][0] <= D[c]:
+                d_c, rate_c = float(D[c]), float(rate_ps[c])
+                k = streams_per_flow[c]
+                flows_c = float(n_flows_live[c])
+                streams_live_c = float(n_streams_live[c])
+                agg_c = float(agg[c])
+                while heap and heap[0][0] <= d_c:
                     thr, f = heapq.heappop(heap)
-                    over = D[c] - thr
-                    finish_s[f] = (now + dt - over / rate_ps[c]
-                                   if rate_ps[c] > 0.0 else now + dt)
-                    n_flows_live[c] -= 1
-                    n_streams_live[c] -= streams_of[f]
-                    agg[c] -= over * streams_of[f]
+                    over = d_c - thr
+                    finish_s[f] = end - over / rate_c if rate_c > 0.0 else end
+                    flows_c -= 1.0
+                    streams_live_c -= k
+                    agg_c -= over * k
                     n_unfinished -= 1
+                n_flows_live[c] = flows_c
+                n_streams_live[c] = streams_live_c
+                agg[c] = agg_c
                 next_death[c] = heap[0][0] if heap else np.inf
 
             # Per-RTT mean-field window update: the expectation of the
             # per-flow rule under loss fraction P.
-            rtt_clock += live * dt
-            tsl += live * dt
-            upd = live & (rtt_clock >= rtt)
-            if upd.any():
-                rtt_clock[upd] = 0.0
-                p = P[upd]
-                s = ss_frac[upd]
-                w_up = W[upd]
-                for algo, cmask in self._algo_groups:
-                    sel = upd & cmask
-                    if not sel.any():
-                        continue
-                    sub = cmask[upd]
-                    # Loss-free growth is the population mix of the two
-                    # regimes: the slow-start fraction doubles, the rest
-                    # takes the congestion-avoidance increase (windows
-                    # already past rwnd hold, like the per-flow rule).
-                    grow_ss = np.minimum(w_up[sub] * algo.slow_start_factor,
-                                         rwnd_cap[upd][sub])
-                    grow_ca = np.where(
-                        w_up[sub] <= rwnd[upd][sub],
-                        np.minimum(
-                            w_up[sub] + algo.increase_batch(
-                                w_up[sub], tsl[upd][sub], rtt[upd][sub]),
-                            rwnd_cap[upd][sub]),
-                        w_up[sub])
-                    grow_sel = s[sub] * grow_ss + (1.0 - s[sub]) * grow_ca
-                    inflight = np.minimum(w_up[sub], rwnd[upd][sub])
-                    w_loss = algo.on_loss_batch(
-                        inflight, rtt[upd][sub], rtt[upd][sub])
-                    W[sel] = p[sub] * w_loss + (1.0 - p[sub]) * grow_sel
-                ss_frac[upd] = s * (1.0 - p)
-                tsl[upd] *= 1.0 - p
-                P[upd] = 0.0
+            step = live * dt
+            rtt_clock += step
+            tsl += step
+            idx = np.nonzero(live & (rtt_clock >= rtt))[0]
+            if idx.size:
+                rtt_clock[idx] = 0.0
+                p = P[idx]
+                if single_algo is not None:
+                    W[idx] = _mean_window(
+                        single_algo, p, ss_frac[idx], W[idx], tsl[idx],
+                        rtt[idx], rwnd[idx], rwnd_cap[idx])
+                else:
+                    for algo, cmask in groups:
+                        sub = cmask[idx]
+                        if not sub.any():
+                            continue
+                        sel = idx[sub]
+                        W[sel] = _mean_window(
+                            algo, p[sub], ss_frac[sel], W[sel], tsl[sel],
+                            rtt[sel], rwnd[sel], rwnd_cap[sel])
+                ss_frac[idx] = ss_frac[idx] * (1.0 - p)
+                tsl[idx] = tsl[idx] * (1.0 - p)
+                P[idx] = 0.0
 
             now += dt
             if now >= next_sample:
                 next_sample = now + sample_interval_s
                 samples.append((now, float(alloc.sum())))
-            if n_unfinished == 0 and bp >= b_starts.size and not until_given:
+            if n_unfinished == 0 and bp >= n_births and not until_given:
                 break
         else:
             raise SimulationError(
@@ -340,10 +387,6 @@ class FluidEngine:
         # streams * (D_at_finish - D_at_birth), clipped to the transfer
         # size.  Sums match `agg` to float roundoff by construction (the
         # death loop subtracts each finisher's overshoot).
-        per_stream_done = np.concatenate([c.per_stream_bits for c in classes])
-        flow_ids = np.concatenate([c.flow_ids for c in classes])
-        size_of = np.empty(n_flows)
-        size_of[flow_ids] = per_stream_done
         delivered = np.where(
             started,
             streams_of * np.minimum(D[class_of] - d_birth, size_of),
@@ -365,3 +408,25 @@ class FluidEngine:
             classes_retired=retired,
             samples=samples,
         )
+
+
+def _mean_window(algo: CongestionControl, p: np.ndarray, ss: np.ndarray,
+                 w: np.ndarray, tsl: np.ndarray, rtt: np.ndarray,
+                 rwnd: np.ndarray, rwnd_cap: np.ndarray) -> np.ndarray:
+    """Expected mean window after one RTT under loss fraction ``p``.
+
+    Loss-free growth is the population mix of the two regimes: the
+    slow-start fraction ``ss`` doubles, the rest takes the
+    congestion-avoidance increase (windows already past rwnd hold, like
+    the per-flow rule).  Losing streams back off from their in-flight
+    window.  Every operation is elementwise, so a gathered subset gives
+    the same bits as the full array would.
+    """
+    grow_ss = np.minimum(w * algo.slow_start_factor, rwnd_cap)
+    grow_ca = np.where(
+        w <= rwnd,
+        np.minimum(w + algo.increase_batch(w, tsl, rtt), rwnd_cap),
+        w)
+    grow = ss * grow_ss + (1.0 - ss) * grow_ca
+    w_loss = algo.on_loss_batch(np.minimum(w, rwnd), rtt, rtt)
+    return p * w_loss + (1.0 - p) * grow

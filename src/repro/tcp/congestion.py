@@ -33,6 +33,7 @@ __all__ = [
     "Cubic",
     "LossFreeIdeal",
     "algorithm_by_name",
+    "algorithm_key",
     "register_algorithm",
 ]
 
@@ -308,3 +309,18 @@ def algorithm_by_name(name: str) -> CongestionControl:
         raise ConfigurationError(
             f"unknown congestion-control algorithm {name!r}; known: {known}"
         ) from None
+
+
+def algorithm_key(algo: CongestionControl):
+    """Group key for a congestion-control instance.
+
+    Algorithms are stateless by contract, so instances of the same class
+    with equal attributes are interchangeable: the exact kernels and the
+    fluid engine batch every stream or class under one key through the
+    same window arithmetic.  Unhashable attributes fall back to the
+    instance's identity.
+    """
+    try:
+        return (type(algo), tuple(sorted(vars(algo).items())))
+    except TypeError:
+        return id(algo)

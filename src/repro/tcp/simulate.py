@@ -48,6 +48,7 @@ stream counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,11 +57,12 @@ import numpy as np
 from ..errors import ConfigurationError, SimulationError
 from ..netsim.flow import FlowSpec
 from ..netsim.link import Link
-from ..netsim.topology import Path, PathProfile, Topology
+from ..netsim.topology import PathProfile, Topology
 from ..units import DataRate, DataSize, TimeDelta, bits, seconds
 from ..vectorize import (SIM_BACKENDS, SIM_ENGINES, exact_backend,
                          pow_elementwise, resolve_backend, resolve_engine)
-from .congestion import CongestionControl, Reno, algorithm_by_name
+from .congestion import (CongestionControl, Reno, algorithm_by_name,
+                         algorithm_key)
 
 __all__ = ["FlowProgress", "MultiFlowSimulation", "max_min_fair_allocation",
            "SIM_BACKENDS", "SIM_ENGINES"]
@@ -392,15 +394,20 @@ class MultiFlowSimulation:
 
         self._labels = labels
         self._specs = list(specs)
-        self._paths: List[Path] = []
-        self._profiles: List[PathProfile] = []
         self._algos: List[CongestionControl] = []
+        # Algorithms are stateless by contract, so flows without an
+        # explicit choice share one instance.
+        default_algo = Reno()
         # Path lookups are cached per (src, dst, policy): a traffic
         # matrix carries O(sites^2) distinct pairs but may name 100k+
         # flows, and per-flow shortest-path work would dominate setup.
         # The link inventory is registered in first-encounter order, the
-        # same order the uncached per-flow walk produced.
-        path_cache: Dict[object, Tuple[Path, PathProfile, Tuple[int, ...]]] = {}
+        # same order the uncached per-flow walk produced.  Each distinct
+        # profile is kept once in ``_path_profiles``; ``_profile_index``
+        # maps every flow to its entry there.
+        path_cache: Dict[object, Tuple[PathProfile, Tuple[int, ...], int]] = {}
+        self._path_profiles: List[PathProfile] = []
+        profile_index: List[int] = []
         link_ids: Dict[int, int] = {}
         self._links: List[Link] = []
         self._flow_links: List[Tuple[int, ...]] = []
@@ -419,15 +426,16 @@ class MultiFlowSimulation:
                         link_ids[id(link)] = len(self._links)
                         self._links.append(link)
                 links = tuple(link_ids[id(link)] for link in path.links)
-                cached = path_cache[key] = (path, profile, links)
-            path, profile, links = cached
-            self._paths.append(path)
-            self._profiles.append(profile)
+                cached = path_cache[key] = (profile, links,
+                                            len(self._path_profiles))
+                self._path_profiles.append(profile)
+            profile, links, at = cached
             self._flow_links.append(links)
+            profile_index.append(at)
             if isinstance(algorithm, dict):
-                algo = algorithm.get(label, Reno())
+                algo = algorithm.get(label, default_algo)
             elif algorithm is None:
-                algo = Reno()
+                algo = default_algo
             else:
                 algo = algorithm
             if isinstance(algo, str):
@@ -439,6 +447,7 @@ class MultiFlowSimulation:
                     f"flow {label!r} crosses a lossy path; rng is required"
                 )
 
+        self._profile_index = np.array(profile_index, dtype=np.int64)
         n_flows, n_links = len(specs), len(self._links)
         self._capacities = np.array([l.rate.bps for l in self._links])
         self._queues = np.zeros(n_links)
@@ -483,15 +492,19 @@ class MultiFlowSimulation:
             raise ConfigurationError(
                 "all flows are unbounded; an explicit until= horizon is required"
             )
-        rtts = np.array([max(p.base_rtt.s, 1e-6) for p in self._profiles])
-        dt = float(min(rtts.min() / 2.0, 0.05))
-        horizon = until.s if until is not None else float("inf")
-        mss_bits = np.array([p.flow.mss.bits for p in self._profiles])
+        # Path parameters are computed once per distinct profile, then
+        # gathered per flow.
+        profiles, at = self._path_profiles, self._profile_index
+        rtts = np.array([max(p.base_rtt.s, 1e-6) for p in profiles])
+        mss_bits = np.array([p.flow.mss.bits for p in profiles])
         rwnd_pkts = np.array([
             max(1.0, p.flow.effective_receive_window().bits / m)
-            for p, m in zip(self._profiles, mss_bits)
-        ])
-        loss_p = np.array([p.random_loss for p in self._profiles])
+            for p, m in zip(profiles, mss_bits)
+        ])[at]
+        loss_p = np.array([p.random_loss for p in profiles])[at]
+        rtts, mss_bits = rtts[at], mss_bits[at]
+        dt = float(min(rtts.min() / 2.0, 0.05))
+        horizon = until.s if until is not None else float("inf")
         rate_caps = np.array([
             (s.rate_limit.bps if s.rate_limit else np.inf) for s in self._specs
         ])
@@ -544,6 +557,9 @@ class MultiFlowSimulation:
         delivered totals and finish times land in ``progress`` like the
         exact backends', but per-flow loss counts and time series are
         not produced — class-level aggregates live on ``fluid_result``.
+        Every call overwrites ``started``, ``delivered`` and
+        ``finish_time`` (None while unfinished), so a rerun reports the
+        new run alone.
         """
         from ..fluid import (DEFAULT_PHASE_SHARDS, FluidEngine,
                              build_flow_classes)
@@ -560,14 +576,14 @@ class MultiFlowSimulation:
                             sample_interval_s=sample_interval.s)
         self.fluid_result = result
         self._queues = result.queues_bits
-        delivered, finish = result.delivered_bits, result.finish_s
-        for f, label in enumerate(self._labels):
+        for label, started, delivered, finish in zip(
+                self._labels, result.started.tolist(),
+                result.delivered_bits.tolist(), result.finish_s.tolist()):
             prog = self.progress[label]
-            if result.started[f]:
-                prog.started = True
-            prog.delivered = bits(float(delivered[f]))
-            if np.isfinite(finish[f]):
-                prog.finish_time = seconds(float(finish[f]))
+            prog.started = started
+            prog.delivered = bits(delivered)
+            prog.finish_time = (seconds(finish) if math.isfinite(finish)
+                                else None)
         return result.now_s
 
     # -- scalar reference loop -------------------------------------------------
@@ -765,17 +781,12 @@ class MultiFlowSimulation:
         loss_events_f = np.zeros(n_flows, dtype=np.int64)
 
         # Streams grouped by congestion-control *behaviour* for batch
-        # updates.  Algorithms are stateless by contract, so instances of
-        # the same class with equal attributes are interchangeable — the
-        # common ``algorithm=None`` path builds one Reno() per flow, which
-        # must collapse into a single group rather than one per flow.
+        # updates: equal-keyed instances collapse into one group rather
+        # than one per flow.
         groups: List[Tuple[CongestionControl, np.ndarray]] = []
         seen: Dict[object, int] = {}
         for f, algo in enumerate(self._algos):
-            try:
-                key = (type(algo), tuple(sorted(vars(algo).items())))
-            except TypeError:
-                key = id(algo)
+            key = algorithm_key(algo)
             if key not in seen:
                 seen[key] = len(groups)
                 groups.append((algo, np.zeros(n_streams, dtype=bool)))
@@ -984,9 +995,10 @@ class MultiFlowSimulation:
     # -- conveniences ---------------------------------------------------------------
     def profile_of(self, label: str) -> PathProfile:
         try:
-            return self._profiles[self._labels.index(label)]
+            f = self._labels.index(label)
         except ValueError:
             raise ConfigurationError(f"no flow labelled {label!r}") from None
+        return self._path_profiles[self._profile_index[f]]
 
     def aggregate_delivered(self) -> DataSize:
         return bits(sum(p.delivered.bits for p in self.progress.values()))

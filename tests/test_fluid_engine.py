@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fluid import DEFAULT_SWITCHOVER, FluidEngine, build_flow_classes
+from repro.fluid.engine import _SLACK
 from repro.netsim import Link, Topology
 from repro.netsim.flow import FlowSpec
 from repro.tcp.simulate import MultiFlowSimulation, _ProgressiveFiller
@@ -196,11 +197,14 @@ def test_hybrid_above_switchover_takes_fluid():
 
 def test_fluid_engine_allocator_backends_bit_identical(monkeypatch):
     """A gravity matrix above the switchover, run to completion, gives
-    byte-equal results whether the engine's filler takes the numpy path
-    (live-set rounds) or the scalar reference."""
+    byte-equal results whether the engine skips the filler on feasible
+    ticks (the default) or runs it on every tick (short-circuit patched
+    off), with the numpy path (live-set rounds) or the scalar reference.
+    The 32 MB mean size congests some links on about a fifth of the
+    ticks, so the default run calls the filler too."""
     topo = wan_backbone(6)
     specs = traffic_matrix([f"site{i}" for i in range(6)], n_flows=300,
-                           rng=np.random.default_rng(5), mean_size=MB(4),
+                           rng=np.random.default_rng(5), mean_size=MB(32),
                            arrival_window=seconds(2)).specs()
 
     def run():
@@ -209,14 +213,191 @@ def test_fluid_engine_allocator_backends_bit_identical(monkeypatch):
         sim.run()
         return sim.fluid_result
 
+    calls = []
+    numpy_filler = _ProgressiveFiller._allocate_numpy
+
+    def counted(self, demands):
+        calls.append(1)
+        return numpy_filler(self, demands)
+
+    monkeypatch.setattr(_ProgressiveFiller, "_allocate_numpy", counted)
     fast = run()
+    short_circuit_calls = len(calls)
+
+    engine_init = FluidEngine.__init__
+
+    def no_slack(self, *args, **kwargs):
+        engine_init(self, *args, **kwargs)
+        self._slack_caps = np.full_like(self._slack_caps, -np.inf)
+
+    monkeypatch.setattr(FluidEngine, "__init__", no_slack)
+    calls.clear()
+    forced = run()
+    # The short-circuit fired on some ticks, and not on every one.
+    assert 0 < short_circuit_calls < len(calls)
+
     monkeypatch.setattr(_ProgressiveFiller, "_allocate_numpy",
                         _ProgressiveFiller._allocate_python)
-    slow = run()
-    assert fast.ticks == slow.ticks
+    slow = run()  # scalar reference on every tick
+    for other in (forced, slow):
+        assert (fast.ticks, fast.now_s) == (other.ticks, other.now_s)
+        assert fast.samples == other.samples
+        for name in ("delivered_bits", "finish_s", "started", "queues_bits",
+                     "class_delivered_bits", "class_population"):
+            assert (getattr(fast, name).tobytes()
+                    == getattr(other, name).tobytes()), name
+
+
+@st.composite
+def slack_problems(draw):
+    """Random incidence and capacities, with demands scaled so every
+    link's load is at most ``cap * (1 - _SLACK)``."""
+    n_flows = draw(st.integers(1, 40))
+    n_links = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    usage = rng.random((n_flows, n_links)) < draw(st.floats(0.1, 0.9))
+    demands = rng.random(n_flows) * draw(st.floats(0.5, 200.0))
+    demands[rng.random(n_flows) < draw(st.floats(0.0, 0.5))] = 0.0
+    capacities = rng.random(n_links) * draw(st.floats(0.5, 100.0)) + 1e-3
+    if draw(st.booleans()):
+        capacities[rng.integers(0, n_links)] = np.inf
+    load = demands @ usage.astype(np.float64)
+    limit = capacities * (1.0 - _SLACK)
+    loaded = load > 0.0
+    scale = min([1.0, *(limit[loaded] / load[loaded])])
+    demands = demands * scale * draw(st.floats(1e-6, 1.0))
+    return demands, usage, capacities
+
+
+@settings(max_examples=200, deadline=None)
+@given(slack_problems())
+def test_filler_grants_demands_when_every_link_has_slack(problem):
+    """The engine's short-circuit is exact: when no link is loaded past
+    ``cap * (1 - _SLACK)``, both filler backends return the demands
+    bit for bit."""
+    demands, usage, capacities = problem
+    load = demands @ usage.astype(np.float64)
+    # Scaling rounds, so the tightest link can land an ulp past the limit.
+    assume((load <= capacities * (1.0 - _SLACK)).all())
+    filler = _ProgressiveFiller(usage, capacities)
+    assert filler._allocate_numpy(demands).tobytes() == demands.tobytes()
+    assert filler._allocate_python(demands).tobytes() == demands.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(slack_problems())
+def test_filler_boundary_loads_match_the_scalar_reference(problem):
+    """A link loaded exactly to capacity, or one ulp past it, fails the
+    short-circuit test, and the filler it falls to still matches the
+    scalar reference bit for bit."""
+    demands, usage, capacities = problem
+    load = demands @ usage.astype(np.float64)
+    assume((load > 0.0).any())
+    tight = int(np.argmax(load))
+    for cap in (load[tight], np.nextafter(load[tight], 0.0)):
+        caps = capacities.copy()
+        caps[tight] = cap
+        assert not (load <= caps * (1.0 - _SLACK)).all()
+        filler = _ProgressiveFiller(usage, caps)
+        assert (filler._allocate_numpy(demands).tobytes()
+                == filler._allocate_python(demands).tobytes())
+
+
+def test_fluid_split_algorithm_groups_match_one_group():
+    """Classes split across two congestion-control groups that do the
+    same arithmetic give byte-equal results to a single group: the
+    per-group gather and scatter of the window update changes no bit.
+    The algorithm follows the source host, so the flows fall into the
+    same classes either way."""
+    from repro.tcp import Reno
+
+    class TwinReno(Reno):
+        """Reno under another type, hence another group key."""
+
+    topo = chain_topology(rate_gbps=1.0)
+    specs = make_specs(24, 2, 20.0, 0.02)
+
+    def run(algorithm):
+        sim = MultiFlowSimulation(topo, specs, backend="fluid",
+                                  algorithm=algorithm)
+        sim.run()
+        return sim.fluid_result
+
+    one = run(None)
+    two = run({s.label: TwinReno() if int(s.src[3:]) % 2 else Reno()
+               for s in specs})
+    assert (one.ticks, one.now_s, one.samples) == (
+        two.ticks, two.now_s, two.samples)
     for name in ("delivered_bits", "finish_s", "queues_bits",
-                 "class_delivered_bits"):
-        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+                 "class_delivered_bits", "class_population"):
+        assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
+
+
+def test_fluid_same_tick_births_unbounded_and_capped_members():
+    """Members of one class born on the same tick, unbounded members
+    under ``until=``, and rate-capped classes: bytes are conserved,
+    every bounded member completes with exactly its size, unbounded
+    members never finish, and capped members stay under their cap."""
+    topo = chain_topology()
+    specs = []
+    for i in range(96):
+        # Two classes of flows (capped or not) of 48 members, born in
+        # two waves of 24: every one of the 8 phase shards per class
+        # takes 3 births on the same tick.  Both have unbounded members.
+        capped = i % 2 == 1
+        specs.append(FlowSpec(
+            src="src0", dst="dst0",
+            size=None if i % 12 >= 10 else MB(2 + i % 5),
+            start=seconds(0.0 if i < 48 else 0.3),
+            parallel_streams=2,
+            rate_limit=Gbps(0.5) if capped else None,
+            label=f"f{i}"))
+    horizon = seconds(4)
+    sim = MultiFlowSimulation(topo, specs, backend="fluid")
+    progress = sim.run(until=horizon)
+    result = sim.fluid_result
+    np.testing.assert_allclose(result.delivered_bits.sum(),
+                               result.class_delivered_bits.sum(), rtol=1e-9)
+    for spec in specs:
+        prog = progress[spec.label]
+        assert prog.started
+        if spec.size is None:
+            assert prog.finish_time is None
+            assert prog.delivered.bits > 0.0
+        else:
+            assert prog.finish_time is not None
+            np.testing.assert_allclose(prog.delivered.bits, spec.size.bits,
+                                       rtol=1e-9)
+        if spec.rate_limit is not None:
+            end = prog.finish_time or horizon
+            assert (prog.delivered.bits
+                    <= spec.rate_limit.bps * (end.s - spec.start.s)
+                    * (1 + 1e-9))
+
+
+def test_fluid_rerun_matches_fresh_run():
+    """The fluid tier is one-shot: a second run() re-simulates from
+    t=0, so its progress must equal a fresh simulation's, with nothing
+    left over from the longer first run."""
+    topo = wan_backbone(12)
+    specs = traffic_matrix([f"site{i}" for i in range(12)], n_flows=400,
+                           rng=np.random.default_rng(1), mean_size=MB(8),
+                           arrival_window=seconds(3)).specs()
+
+    def sim():
+        return MultiFlowSimulation(topo, specs, backend="hybrid",
+                                   switchover=1)
+
+    rerun = sim()
+    rerun.run(until=seconds(10))
+    again = rerun.run(until=seconds(0.5))
+    fresh = sim().run(until=seconds(0.5))
+    assert 0 < sum(p.done for p in fresh.values()) < len(specs)
+    assert sum(p.started for p in fresh.values()) < len(specs)
+    for label, prog in fresh.items():
+        other = again[label]
+        assert (other.started, other.delivered, other.finish_time) == (
+            prog.started, prog.delivered, prog.finish_time), label
 
 
 def test_hybrid_custom_switchover():
