@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ from repro.tcp import Reno, TcpConnection
 from repro.units import GB, Gbps, KB, MB, Mbps, bytes_, ms, seconds
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "baseline.json"
+
+# The scalar reference kernels are test code: import them from the
+# repository root, whatever directory pytest was started in.
+ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+from tests.reference import scalar_kernels  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +119,7 @@ def test_perf_multiflow_64x4(benchmark):
     is_quick = quick_mode()
 
     def run():
-        sim, horizon = perf._chain_simulation("numpy", is_quick)
+        sim, horizon = perf._chain_simulation(is_quick)
         return sim.run(until=horizon)
 
     progress = benchmark(run)
@@ -120,14 +128,15 @@ def test_perf_multiflow_64x4(benchmark):
 
 
 def test_perf_vectorized_backends_agree():
-    """The scalar and vectorized backends must return byte-identical
-    results on the many-flow chain scenario (quick-sized here; the full
-    randomized battery lives in tests/test_vectorized_equivalence.py)."""
-    outs = {}
-    for backend in ("numpy", "python"):
-        sim, horizon = perf._chain_simulation(backend, True)
-        outs[backend] = sim.run(until=horizon)
-    a, b = outs["numpy"], outs["python"]
+    """The exact kernel and the scalar reference must return
+    byte-identical results on the many-flow chain scenario (quick-sized
+    here; the full randomized battery lives in
+    tests/test_vectorized_equivalence.py)."""
+    sim, horizon = perf._chain_simulation(True)
+    a = sim.run(until=horizon)
+    with scalar_kernels():
+        sim, horizon = perf._chain_simulation(True)
+        b = sim.run(until=horizon)
     assert set(a) == set(b)
     for label in a:
         assert a[label].delivered.bits == b[label].delivered.bits
@@ -135,18 +144,25 @@ def test_perf_vectorized_backends_agree():
         assert a[label].time_series == b[label].time_series
 
 
+def _time_on_both_kernels(name: str, repeats: int, quick: bool):
+    """(shipped, scalar reference) seconds per call of a bench scenario."""
+    shipped = perf.run_scenario(name, repeats=repeats, quick=quick)
+    with scalar_kernels():
+        reference = perf.run_scenario(name, repeats=repeats, quick=quick)
+    return shipped["seconds"], reference["seconds"]
+
+
 def test_perf_vectorized_speedups():
-    """The vectorized kernels must beat the scalar references: >=5x on
-    the 64-flow chain, >=3x on the fan-in sweep (asserted only in full
-    mode; quick-mode workloads are too small to be meaningful)."""
+    """The vectorized kernels must beat the scalar references in
+    tests/reference: >=5x on the 64-flow chain, >=3x on the fan-in sweep
+    (asserted only in full mode; quick-mode workloads are too small to
+    be meaningful)."""
     is_quick = quick_mode()
     repeats = quick(3, 1)
-    times = {
-        name: perf.run_scenario(name, repeats=repeats,
-                                quick=is_quick)["seconds"]
-        for name in ("multiflow.numpy", "multiflow.python",
-                     "fanin.numpy", "fanin.python")
-    }
+    times = {}
+    for family in ("multiflow", "fanin"):
+        times[f"{family}.numpy"], times[f"{family}.python"] = \
+            _time_on_both_kernels(f"{family}.numpy", repeats, is_quick)
     multiflow = times["multiflow.python"] / times["multiflow.numpy"]
     fanin = times["fanin.python"] / times["fanin.numpy"]
     emit("BENCH_speedups",

@@ -928,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "recorded ledger; exit 1 on drift")
     p_run.add_argument("--backend", default=None, choices=SIM_ENGINES,
                        help="simulation engine (default: $REPRO_BACKEND "
-                            "or numpy); fluid/hybrid are the approximate "
+                            "or exact); fluid/hybrid are the approximate "
                             "mean-field tier and fork the cache identity")
     p_run.set_defaults(func=cmd_run)
 

@@ -70,10 +70,9 @@ class RunContext:
         :data:`repro.vectorize.SIM_ENGINES` member, validated here so a
         typo fails at context construction, not mid-run.  None (default)
         defers to :func:`repro.vectorize.default_backend` at execution
-        time.  Exact-tier backends never change results (bit-identity);
-        the approximate tier ("fluid"/"hybrid") does, so the resolved
-        engine is recorded in the manifest's run section and joins the
-        scenario cache identity.
+        time.  The resolved engine is recorded in the manifest's run
+        section; "fluid" and "hybrid" may change results, so they also
+        join the cache identity, while "exact" adds nothing to it.
     progress:
         Optional observer ``fn(event, fields)`` for live run progress
         — per-point completions land here as ``("point", {...})`` in

@@ -87,12 +87,11 @@ class RunManifest:
     timings: Dict[str, float] = field(default_factory=dict)
     stats: Dict[str, int] = field(default_factory=dict)
     workers: int = 1
-    #: Resolved simulation engine the run executed on ("numpy",
-    #: "python", "fluid", "hybrid").  Run section, not core: the exact
-    #: tier is bit-identical by contract, so the digest must not fork on
-    #: it, and approximate engines are kept honest by the cache identity
-    #: instead (see ``repro.experiment.runner``).  None on manifests
-    #: written before the engine tier existed.
+    #: Resolved simulation engine the run executed on ("exact",
+    #: "fluid", "hybrid").  Run section, not core: the digest must not
+    #: fork on it, and approximate engines are kept honest by the cache
+    #: identity instead (see ``repro.experiment.runner``).  None on
+    #: manifests written before the engine tier existed.
     backend: Optional[str] = None
     #: Artifacts whose bytes legitimately vary run-to-run (e.g. bench
     #: timing payloads); hashed for the record but outside the digest.

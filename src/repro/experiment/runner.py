@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional
 
 from ..errors import ConfigurationError
 from ..exec.seeding import canonical_json
-from ..vectorize import SIM_BACKENDS, use_backend
+from ..vectorize import use_backend
 from .context import RunContext
 from .manifest import RunManifest, package_code_version
 from .registry import sweep_target
@@ -121,10 +121,9 @@ def _scenario_point(spec: str,
     exactly like any sweep target.
 
     ``engine`` is only passed (and thus only joins the cache identity)
-    for the *approximate* tier: exact backends are bit-identical by
-    contract, so their runs must keep sharing cache entries, while a
-    fluid/hybrid result may differ and can never be served to — or
-    from — a per-flow run.  Passing it explicitly also applies the
+    for ``"fluid"`` and ``"hybrid"``: exact runs keep the cache entries
+    they always had, while a fluid/hybrid result may differ and can
+    never be served to — or from — a per-flow run.  Passing it explicitly also applies the
     engine inside pool workers, which a parent-process default would
     not survive under spawn.
     """
@@ -156,7 +155,7 @@ def _run_scenario(spec: ScenarioSpec, ctx: RunContext, version: str):
         return payload, payload, outcome
     params: Dict[str, object] = {"spec": spec.to_json()}
     engine = ctx.resolved_backend()
-    if engine not in SIM_BACKENDS:
+    if engine != "exact":
         params["engine"] = engine
     runner = ctx.runner(code_version=version)
     outcomes = runner.map(_scenario_point, [params])
@@ -174,10 +173,10 @@ def _run_sweep(spec: SweepSpec, ctx: RunContext, version: str):
             f"{spec.target!r} is registered without a seed parameter")
     # Approximate engines fork the sweep cache identity via the version
     # tag (sweep targets take arbitrary grids, so there is no single
-    # params slot to carry the engine the way scenarios do); exact-tier
-    # runs keep sharing entries by the bit-identity contract.
+    # params slot to carry the engine the way scenarios do); exact runs
+    # add nothing, so their cache keys stay as they were.
     engine = ctx.resolved_backend()
-    if engine not in SIM_BACKENDS:
+    if engine != "exact":
         version = f"{version}+{engine}"
     result = sweep(
         target.fn,

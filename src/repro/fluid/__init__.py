@@ -23,11 +23,12 @@ which is what makes 100k–1M concurrent flows tractable (see
 
 Accuracy contract
 -----------------
-The fluid engine is **approximate by design** — it belongs to the
-engine tier of :data:`repro.vectorize.SIM_ENGINES`, not the
-bit-identical backend tier.  The contract, gated by the megaflows
-bench, is a *delivered-bytes ratio within 1% of the per-flow kernels at
-matched horizon* for saturated many-flow workloads.  Scenarios below
+The fluid engine is **approximate by design** — unlike ``"exact"``,
+the other engine named in :data:`repro.vectorize.SIM_ENGINES`, it is
+not pinned bit for bit by the golden digests.  The contract, gated by
+the megaflows bench, is a *delivered-bytes ratio within 1% of the
+per-flow kernels at matched horizon* for saturated many-flow
+workloads.  Scenarios below
 the hybrid switchover threshold never reach this engine at all: the
 ``engine="hybrid"`` dispatcher keeps them on the exact kernels,
 byte-for-byte.

@@ -57,7 +57,7 @@ __all__ = ["DEFAULT_SWITCHOVER", "FluidEngine", "FluidResult"]
 
 #: Hybrid dispatcher threshold: simulations with at least this many
 #: streams (flows x parallel streams) take the fluid engine; smaller
-#: populations stay on the bit-identical per-flow kernels.
+#: populations stay on the exact per-flow kernels.
 DEFAULT_SWITCHOVER = 1024
 
 #: Relative headroom every link must keep for a tick to skip the max-min

@@ -19,13 +19,12 @@ preserving per-packet drop decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import DataRate, DataSize, TimeDelta, bits, bytes_, seconds
-from ..vectorize import check_backend, resolve_backend
 
 __all__ = [
     "BurstySource",
@@ -187,33 +186,6 @@ class FanInResult:
         return "\n".join(lines)
 
 
-def _sweep_python(
-    times: np.ndarray,
-    owners: np.ndarray,
-    n_sources: int,
-    cap_bits: float,
-    pkt_bits: float,
-    drain_bps: float,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Scalar reference Lindley sweep: one Python iteration per packet."""
-    backlog = 0.0
-    last_t = 0.0
-    max_backlog = 0.0
-    delivered = np.zeros(n_sources, dtype=np.int64)
-    dropped = np.zeros(n_sources, dtype=np.int64)
-    for t, who in zip(times, owners):
-        backlog = max(0.0, backlog - (t - last_t) * drain_bps)
-        last_t = t
-        if backlog + pkt_bits <= cap_bits:
-            backlog += pkt_bits
-            delivered[who] += 1
-            if backlog > max_backlog:
-                max_backlog = backlog
-        else:
-            dropped[who] += 1
-    return delivered, dropped, max_backlog
-
-
 def _sweep_numpy(
     times: np.ndarray,
     owners: np.ndarray,
@@ -222,7 +194,8 @@ def _sweep_numpy(
     pkt_bits: float,
     drain_bps: float,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Vectorized Lindley sweep, bit-identical to :func:`_sweep_python`.
+    """Vectorized Lindley sweep: per packet, drain the backlog to the
+    arrival time, then accept the packet iff it fits.
 
     The backlog recursion ``b <- max(0, b - d_i); accept iff b + pkt <= cap``
     is linear *between* boundary events (clamps to empty and drops), so it
@@ -231,19 +204,16 @@ def _sweep_numpy(
     ``z = [b0 - d_0, +pkt, -d_1, +pkt, ...]`` gives running sums whose even
     elements are the post-drain backlogs and odd elements the post-accept
     backlogs.  The chunk is valid up to the first *violation* — a post-drain
-    value below zero (the scalar loop would have clamped) or a post-accept
-    value above the capacity (the scalar loop would have dropped).  The
-    accepted prefix is committed wholesale; a clamp is repaired with one
-    O(1) step (the queue is empty: the packet is accepted onto an empty
-    buffer); a drop switches to a short scalar run, since drops cluster in
-    exactly the overload regimes where speculation keeps failing.  The
-    chunk size adapts to twice the distance the last attempt advanced.
+    value below zero (a clamp) or a post-accept value above the capacity
+    (a drop).  The accepted prefix is committed wholesale; a clamp is
+    repaired with one O(1) step (the queue is empty: the packet is
+    accepted onto an empty buffer); a drop switches to a short scalar run,
+    since drops cluster in exactly the overload regimes where speculation
+    keeps failing.  The chunk size adapts to twice the distance the last
+    attempt advanced.
 
-    Bit-identity notes: ``cumsum`` accumulates sequentially, so every
-    committed backlog equals the scalar loop's float-by-float value;
-    ``b0 + (-d) == b0 - d`` and ``0.0 + pkt == pkt`` exactly in IEEE-754;
-    a post-drain ``-0.0`` (scalar: ``+0.0``) subtracts and compares
-    identically and is never surfaced in ``max_backlog``.
+    ``cumsum`` accumulates sequentially, so every committed backlog is
+    the same float a per-packet loop computes.
     """
     n = len(times)
     delivered = np.zeros(n_sources, dtype=np.int64)
@@ -323,19 +293,12 @@ def simulate_fan_in(
     buffer_size: DataSize,
     duration: TimeDelta,
     rng: np.random.Generator,
-    backend: Optional[str] = None,
 ) -> FanInResult:
     """Sweep bursty sources through a shared drop-tail egress queue.
 
     All sources must use the same packet size (the common case for bulk
     data flows; mixed sizes would only blur the effect under study).
-
-    ``backend="numpy"`` runs the chunked vectorized Lindley sweep;
-    ``backend="python"`` runs the per-packet scalar reference.  Both
-    produce bit-identical results; ``backend=None`` (default) resolves
-    through :func:`repro.vectorize.default_backend`.
     """
-    backend = resolve_backend(backend)
     if not sources:
         raise ConfigurationError("simulate_fan_in requires at least one source")
     pkt = sources[0].packet_size
@@ -364,8 +327,7 @@ def simulate_fan_in(
     # Queue sweep.  The queue drains continuously at egress_rate; each
     # packet is accepted iff the backlog (after draining to its arrival
     # time) leaves room.
-    sweep = _sweep_numpy if backend == "numpy" else _sweep_python
-    delivered, dropped, max_backlog = sweep(
+    delivered, dropped, max_backlog = _sweep_numpy(
         times, owners, len(sources),
         buffer_size.bits, pkt.bits, egress_rate.bps,
     )

@@ -77,11 +77,12 @@ class CongestionControl(ABC):
     # rules.  numpy routes array arithmetic (notably ``**``) through SIMD
     # loops whose last-bit rounding can differ from libm scalar calls, so
     # the batch methods are the *canonical* arithmetic for the multi-flow
-    # model: both its backends call these (the scalar reference on
-    # length-1 arrays), which keeps the backends bit-identical.  The
-    # scalar methods above remain the canonical path for the single
-    # connection model.  The defaults fall back to the scalar methods so
-    # third-party subclasses keep working unmodified.
+    # model: its exact kernel calls these, and so does the scalar
+    # reference loop in the test suite (on length-1 arrays), which keeps
+    # the two bit-identical.  The scalar methods above remain the
+    # canonical path for the single connection model.  The defaults fall
+    # back to the scalar methods so third-party subclasses keep working
+    # unmodified.
 
     def increase_batch(self, cwnd: np.ndarray, time_since_loss: np.ndarray,
                        rtt: np.ndarray) -> np.ndarray:

@@ -23,27 +23,18 @@ packet-level synchronization artifacts, but it preserves the relationships
 the paper's experiments rely on (who wins, how throughput scales with flow
 count and buffering, how badly loss hurts at high RTT).
 
-Backends
---------
-The tick loop exists twice:
+Engines
+-------
+``backend="exact"`` (the default) keeps all stream state as flat
+struct-of-arrays (cwnd/ssthresh/rtt-clock/remaining-bits indexed by a
+flow map) and advances every stream per tick with array ops.  Its
+results are pinned bit for bit by the golden digests.  ``"fluid"`` runs
+the approximate :mod:`repro.fluid` mean-field engine instead, and
+``"hybrid"`` picks one of the two by stream population.
 
-* ``backend="numpy"`` (default) keeps all stream state as flat
-  struct-of-arrays (cwnd/ssthresh/rtt-clock/remaining-bits indexed by a
-  flow map) and advances every stream per tick with array ops.  This is
-  the production path — the many-flow paper scenarios are one to two
-  orders of magnitude faster on it.
-* ``backend="python"`` is the scalar reference: one
-  :class:`_StreamState` object per stream, a plain per-stream loop.
-
-Both backends are **bit-identical**: random variates are drawn in the
-exact per-flow, per-stream order of the scalar loop (a single
-``Generator.random(n)`` call consumes the PCG64 stream exactly like *n*
-scalar calls), per-flow reductions use sequential-accumulation numpy
-primitives (``np.bincount``), and transcendental arithmetic is routed
-through numpy's array loops on both paths (SIMD ``**`` can differ from
-libm's scalar ``pow`` in the last bit).  ``tests/test_vectorized_equivalence``
-asserts the equivalence property over random topologies, seeds and
-stream counts.
+Every engine's :meth:`MultiFlowSimulation.run` is one-shot: each call
+re-simulates from t=0 with fresh stream state, link queues and per-flow
+progress.
 """
 
 from __future__ import annotations
@@ -59,13 +50,12 @@ from ..netsim.flow import FlowSpec
 from ..netsim.link import Link
 from ..netsim.topology import PathProfile, Topology
 from ..units import DataRate, DataSize, TimeDelta, bits, seconds
-from ..vectorize import (SIM_BACKENDS, SIM_ENGINES, exact_backend,
-                         pow_elementwise, resolve_backend, resolve_engine)
+from ..vectorize import SIM_ENGINES, resolve_engine
 from .congestion import (CongestionControl, Reno, algorithm_by_name,
                          algorithm_key)
 
 __all__ = ["FlowProgress", "MultiFlowSimulation", "max_min_fair_allocation",
-           "SIM_BACKENDS", "SIM_ENGINES"]
+           "SIM_ENGINES"]
 
 
 class _ProgressiveFiller:
@@ -75,11 +65,9 @@ class _ProgressiveFiller:
     structural work — ``np.nonzero`` of the usage matrix and the link
     count of each flow — is done once here.
 
-    Both backends walk the same round structure: each round either
-    freezes every flow whose demand fits under its fair-share limit, or,
-    when none does, saturates the tightest link and freezes the flows
-    crossing it.  They differ only in how each round's per-flow limits
-    and per-link capacity deltas are evaluated.
+    Each round either freezes every flow whose demand fits under its
+    fair-share limit, or, when none does, saturates the tightest link
+    and freezes the flows crossing it.
 
     Infinite-capacity links never constrain a flow, so they are dropped
     from the incidence, and a flow that crosses no remaining link is
@@ -88,9 +76,9 @@ class _ProgressiveFiller:
     the headroom and remaining-capacity arithmetic.  NaN or negative
     capacities are rejected here, and NaN demands by :meth:`allocate`.
 
-    The numpy backend works on the *live* set only: flows with demand
-    > 0 that cross at least one finite link, plus their incidence
-    entries in row-major (flow) order.  Two invariants hold:
+    The rounds work on the *live* set only: flows with demand > 0 that
+    cross at least one finite link, plus their incidence entries in
+    row-major (flow) order.  Two invariants hold:
 
     * every live flow crosses at least one finite link, and every link
       it crosses carries at least one live flow (itself), so its limit
@@ -99,12 +87,10 @@ class _ProgressiveFiller:
       limit, if no flow is satisfied), and frozen flows leave the live
       set, so the loop runs at most once per live flow.
 
-    Bit-identity with the scalar reference: per-flow limits are plain
-    minima (order-independent and exact); per-link deltas are
-    accumulated in flow order via ``np.bincount``, matching the scalar
-    loop's association.  Flows outside the live set would only add
-    ``+0.0`` to those sequential sums, which is exact, so leaving them
-    out changes no bit.
+    Per-link capacity releases are accumulated in flow order via
+    ``np.bincount``; flows outside the live set would only add ``+0.0``
+    to those sequential sums, which is exact, so leaving them out
+    changes no bit.
     """
 
     def __init__(self, usage: np.ndarray, capacities: np.ndarray) -> None:
@@ -124,16 +110,13 @@ class _ProgressiveFiller:
         self._counts = usage.sum(axis=1)
         self._unconstrained = self._counts == 0
 
-    def allocate(self, demands: np.ndarray,
-                 backend: str = "numpy") -> np.ndarray:
+    def allocate(self, demands: np.ndarray) -> np.ndarray:
         demands = np.asarray(demands, dtype=np.float64)
         if demands.shape != (self.n_flows,):
             raise ConfigurationError("max_min_fair_allocation: shape mismatch")
         if np.isnan(demands).any():
             raise ConfigurationError("max_min_fair_allocation: NaN demand")
-        if backend == "numpy":
-            return self._allocate_numpy(demands)
-        return self._allocate_python(demands)
+        return self._allocate_numpy(demands)
 
     def _allocate_numpy(self, demands: np.ndarray) -> np.ndarray:
         n_links = self.n_links
@@ -187,66 +170,11 @@ class _ProgressiveFiller:
         return np.where(self._unconstrained, demands,
                         np.minimum(alloc, demands))
 
-    def _allocate_python(self, demands: np.ndarray) -> np.ndarray:
-        """Scalar reference: per-flow loops for limits and capacity deltas."""
-        usage = self.usage
-        n_flows, n_links = self.n_flows, self.n_links
-        alloc = np.zeros(n_flows)
-        frozen = (demands <= 0) | self._unconstrained
-        remaining_cap = self.capacities.copy()
-        for _ in range(n_flows + n_links + 1):
-            active = ~frozen
-            if not active.any():
-                break
-            active_per_link = usage[active].sum(axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                share = np.where(
-                    active_per_link > 0,
-                    remaining_cap / np.maximum(active_per_link, 1),
-                    np.inf,
-                )
-            limit = np.full(n_flows, np.inf)
-            for f in range(n_flows):
-                links = usage[f]
-                if links.any():
-                    limit[f] = share[links].min()
-            headroom = demands - alloc
-            satisfied = active & (headroom <= limit + 1e-9)
-            if satisfied.any():
-                grant = headroom[satisfied]
-                alloc[satisfied] += grant
-                released = np.zeros(n_links)
-                for f, g in zip(np.nonzero(satisfied)[0], grant):
-                    for link in np.nonzero(usage[f])[0]:
-                        released[link] += g
-                remaining_cap = remaining_cap - released
-                frozen |= satisfied
-                continue
-            finite_links = share[active_per_link > 0]
-            if finite_links.size == 0 or not np.isfinite(finite_links).any():
-                alloc[active] = demands[active]
-                break
-            min_share = finite_links[np.isfinite(finite_links)].min()
-            bottleneck_links = ((active_per_link > 0)
-                                & (share <= min_share + 1e-9))
-            to_freeze = active & usage[:, bottleneck_links].any(axis=1)
-            taken = np.zeros(n_links)
-            for f in np.nonzero(to_freeze)[0]:
-                alloc[f] += limit[f]
-                for link in np.nonzero(usage[f])[0]:
-                    taken[link] += limit[f]
-            remaining_cap = remaining_cap - taken
-            remaining_cap = np.maximum(remaining_cap, 0.0)
-            frozen |= to_freeze
-        return self._finish(alloc, demands)
-
 
 def max_min_fair_allocation(
     demands: np.ndarray,
     usage: np.ndarray,
     capacities: np.ndarray,
-    *,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Max-min fair rates for flows over shared links.
 
@@ -258,11 +186,6 @@ def max_min_fair_allocation(
         Shape (F, L) boolean — flow f crosses link l.
     capacities:
         Shape (L,) — link capacities (bps).
-    backend:
-        ``"numpy"`` computes each round's per-flow limits and capacity
-        releases with masked matrix ops; ``"python"`` is the per-flow
-        scalar reference.  Both are bit-identical.  None (default)
-        resolves through :func:`repro.vectorize.default_backend`.
 
     Returns
     -------
@@ -278,8 +201,7 @@ def max_min_fair_allocation(
     tick loop) hold a :class:`_ProgressiveFiller` instead, which hoists
     the structural precomputation out of the per-tick call.
     """
-    backend = resolve_backend(backend)
-    return _ProgressiveFiller(usage, capacities).allocate(demands, backend)
+    return _ProgressiveFiller(usage, capacities).allocate(demands)
 
 
 @dataclass
@@ -309,22 +231,6 @@ class FlowProgress:
         return DataRate(self.delivered.bits / dur)
 
 
-class _StreamState:
-    """Congestion state of one TCP stream inside a flow."""
-
-    __slots__ = ("cwnd", "ssthresh", "time_since_loss", "rtt_clock",
-                 "loss_flag", "delivered_bits", "remaining_bits")
-
-    def __init__(self, initial_cwnd: float, remaining_bits: Optional[float]):
-        self.cwnd = initial_cwnd
-        self.ssthresh = float("inf")
-        self.time_since_loss = 0.0
-        self.rtt_clock = 0.0
-        self.loss_flag = False
-        self.delivered_bits = 0.0
-        self.remaining_bits = remaining_bits
-
-
 class MultiFlowSimulation:
     """Run a set of :class:`FlowSpec` demands over a topology.
 
@@ -343,20 +249,25 @@ class MultiFlowSimulation:
         Virtual-queue depth per link, in units of that link's
         capacity x 100 ms (approximating "one WAN RTT of buffer").
     backend:
-        ``"numpy"`` — vectorized struct-of-arrays tick loop;
-        ``"python"`` — the scalar per-stream reference loop.  Both
-        produce bit-identical results (see the module docstring).
+        ``"exact"`` — the struct-of-arrays per-stream tick loop.
         ``"fluid"`` — the approximate :mod:`repro.fluid` mean-field
         engine (flow-class population dynamics; scales to 100k+ flows).
         ``"hybrid"`` — dispatch on population: below ``switchover``
-        total streams the exact kernels run (byte-for-byte identical to
-        selecting them directly), at or above it the fluid engine does.
+        total streams the exact kernel runs (byte-for-byte identical to
+        selecting it directly), at or above it the fluid engine does.
         None (default) resolves through
-        :func:`repro.vectorize.default_backend`.
+        :func:`repro.vectorize.default_backend`.  :attr:`backend` holds
+        the resolved engine, ``"exact"`` or ``"fluid"``.
     switchover:
         Stream-population threshold for ``backend="hybrid"``; defaults
         to :data:`repro.fluid.DEFAULT_SWITCHOVER`.  Ignored by the
-        other backends.
+        other engines.
+
+    After an exact run, :attr:`stream_state` maps each per-stream
+    quantity (``cwnd``, ``ssthresh``, ``time_since_loss``,
+    ``rtt_clock``, ``loss_flag``, ``delivered_bits``,
+    ``remaining_bits``; inf for unbounded flows) to its final array,
+    streams in flow order.  It is None before the first exact run.
     """
 
     def __init__(
@@ -382,11 +293,9 @@ class MultiFlowSimulation:
             threshold = (DEFAULT_SWITCHOVER if switchover is None
                          else int(switchover))
             population = sum(s.parallel_streams for s in specs)
-            # Below the threshold, fall to the *exact* tier — honoring a
-            # scalar-reference default so hybrid stays bit-identical to
-            # whichever exact backend the caller would otherwise get.
-            engine = "fluid" if population >= threshold else exact_backend(None)
+            engine = "fluid" if population >= threshold else "exact"
         self.backend = engine
+        self.stream_state: Optional[Dict[str, np.ndarray]] = None
         self.topology = topology
         self._rng = rng
         self._buffer_frac = buffer_rtt_fraction
@@ -459,25 +368,15 @@ class MultiFlowSimulation:
         }
         if self.backend == "fluid":
             # The fluid engine keeps incidence and congestion state at
-            # class granularity; the per-flow usage matrix, allocator and
-            # stream objects would cost O(flows) for nothing.
+            # class granularity; the per-flow usage matrix and allocator
+            # would cost O(flows) for nothing.
             self._usage = None
             self._filler = None
-            self._streams = []
             return
         self._usage = np.zeros((n_flows, n_links), dtype=bool)
         for f, links in enumerate(self._flow_links):
             self._usage[f, list(links)] = True
         self._filler = _ProgressiveFiller(self._usage, self._capacities)
-
-        # One stream state per parallel stream of each flow.
-        self._streams = []
-        for spec in self._specs:
-            per = spec.per_stream_size()
-            self._streams.append([
-                _StreamState(initial_cwnd, per.bits if per else None)
-                for _ in range(spec.parallel_streams)
-            ])
 
     # ---------------------------------------------------------------------------
     def run(
@@ -508,31 +407,10 @@ class MultiFlowSimulation:
         rate_caps = np.array([
             (s.rate_limit.bps if s.rate_limit else np.inf) for s in self._specs
         ])
-        if self.backend == "fluid":
-            now = self._run_fluid(
-                until, max_ticks, sample_interval, rtts=rtts, dt=dt,
-                horizon=horizon, mss_bits=mss_bits, rwnd_pkts=rwnd_pkts,
-                loss_p=loss_p, rate_caps=rate_caps)
-            self.finished_at = seconds(now)
-            return self.progress
-        if self.backend == "numpy":
-            now = self._run_numpy(
-                until, max_ticks, sample_interval, rtts=rtts, dt=dt,
-                horizon=horizon, mss_bits=mss_bits, rwnd_pkts=rwnd_pkts,
-                loss_p=loss_p, rate_caps=rate_caps)
-        else:
-            now = self._run_python(
-                until, max_ticks, sample_interval, rtts=rtts, dt=dt,
-                horizon=horizon, mss_bits=mss_bits, rwnd_pkts=rwnd_pkts,
-                loss_p=loss_p, rate_caps=rate_caps)
-
-        # A flow's delivered total is the sum of its streams' counters,
-        # accumulated in stream order (both backends share this
-        # association; `np.bincount` in the vectorized path accumulates
-        # sequentially exactly like this loop).
-        for label, streams in zip(self._labels, self._streams):
-            prog = self.progress[label]
-            prog.delivered = bits(sum(st.delivered_bits for st in streams))
+        kernel = self._run_fluid if self.backend == "fluid" else self._run_exact
+        now = kernel(until, max_ticks, sample_interval, rtts=rtts, dt=dt,
+                     horizon=horizon, mss_bits=mss_bits, rwnd_pkts=rwnd_pkts,
+                     loss_p=loss_p, rate_caps=rate_caps)
         self.finished_at = seconds(now)
         return self.progress
 
@@ -555,7 +433,7 @@ class MultiFlowSimulation:
 
         One-shot (each call re-simulates from t=0) and approximate:
         delivered totals and finish times land in ``progress`` like the
-        exact backends', but per-flow loss counts and time series are
+        exact engine's, but per-flow loss counts and time series are
         not produced — class-level aggregates live on ``fluid_result``.
         Every call overwrites ``started``, ``delivered`` and
         ``finish_time`` (None while unfinished), so a rerun reports the
@@ -586,8 +464,8 @@ class MultiFlowSimulation:
                                 else None)
         return result.now_s
 
-    # -- scalar reference loop -------------------------------------------------
-    def _run_python(
+    # -- per-stream loop -------------------------------------------------------
+    def _run_exact(
         self,
         until: Optional[TimeDelta],
         max_ticks: int,
@@ -601,167 +479,28 @@ class MultiFlowSimulation:
         loss_p: np.ndarray,
         rate_caps: np.ndarray,
     ) -> float:
-        now = 0.0
-        next_sample = 0.0
-        rng = self._rng
-        n_flows = len(self._specs)
-
-        for tick in range(max_ticks):
-            if now >= horizon:
-                break
-            active_any = False
-            demands = np.zeros(n_flows)
-            for f, (spec, streams) in enumerate(zip(self._specs, self._streams)):
-                prog = self.progress[self._labels[f]]
-                if prog.done or now < spec.start.s:
-                    continue
-                prog.started = True
-                active_any = True
-                demand = sum(
-                    min(st.cwnd, rwnd_pkts[f]) * mss_bits[f] / rtts[f]
-                    for st in streams
-                    if st.remaining_bits is None or st.remaining_bits > 0
-                )
-                demands[f] = min(demand, rate_caps[f])
-            if not active_any:
-                # Flows scheduled in the future? Jump the clock to the next
-                # start rather than ending the simulation early.
-                pending = [
-                    spec.start.s
-                    for label, spec in zip(self._labels, self._specs)
-                    if not self.progress[label].done and spec.start.s > now
-                ]
-                if pending:
-                    now = min(min(pending), horizon)
-                    continue
-                if until is None:
-                    break
-                now = min(horizon, now + dt)
-                continue
-
-            alloc = self._filler.allocate(demands, backend="python")
-
-            overflowing = self._advance_queues(demands, dt)
-
-            # Loss events: congestion overflow + random path loss.
-            for f in range(n_flows):
-                label = self._labels[f]
-                prog = self.progress[label]
-                if prog.done or demands[f] <= 0:
-                    continue
-                streams = self._streams[f]
-                live = [st for st in streams
-                        if st.remaining_bits is None or st.remaining_bits > 0]
-                if not live:
-                    continue
-                rate_per_stream = alloc[f] / len(live)
-                congested = bool((self._usage[f] & overflowing).any())
-                for st in live:
-                    got = rate_per_stream * dt
-                    if st.remaining_bits is not None:
-                        got = min(got, st.remaining_bits)
-                        st.remaining_bits -= got
-                    st.delivered_bits += got
-                    if congested and rng is not None:
-                        # Probability scaled by the flow's share of overload.
-                        if rng.random() < min(1.0, dt / rtts[f]):
-                            st.loss_flag = True
-                    elif congested:
-                        st.loss_flag = True
-                    if loss_p[f] > 0:
-                        pkts = got / mss_bits[f]
-                        p_evt = 1.0 - pow_elementwise(1.0 - loss_p[f], pkts)
-                        if rng.random() < p_evt:
-                            st.loss_flag = True
-
-                    # Per-RTT congestion-control update.
-                    st.rtt_clock += dt
-                    st.time_since_loss += dt
-                    if st.rtt_clock >= rtts[f]:
-                        st.rtt_clock = 0.0
-                        algo = self._algos[f]
-                        if st.loss_flag:
-                            st.loss_flag = False
-                            prog.loss_events += 1
-                            # Reduce from what was actually in flight
-                            # (RFC 2861), not an inflated cwnd.
-                            inflight = min(st.cwnd, rwnd_pkts[f])
-                            st.cwnd = float(algo.on_loss_batch(
-                                np.array([inflight]),
-                                np.array([rtts[f]]),
-                                np.array([rtts[f]]))[0])
-                            st.ssthresh = st.cwnd
-                            st.time_since_loss = 0.0
-                        elif st.cwnd < st.ssthresh:
-                            st.cwnd = min(st.cwnd * algo.slow_start_factor,
-                                          rwnd_pkts[f] * 1.25)
-                        elif st.cwnd <= rwnd_pkts[f]:
-                            grow = float(algo.increase_batch(
-                                np.array([st.cwnd]),
-                                np.array([st.time_since_loss]),
-                                np.array([rtts[f]]))[0])
-                            st.cwnd = min(st.cwnd + grow,
-                                          rwnd_pkts[f] * 1.25)
-
-                if all(st.remaining_bits is not None and st.remaining_bits <= 0
-                       for st in streams):
-                    prog.finish_time = seconds(now + dt)
-                    # Final-tick sample: close the series at the finish
-                    # time so the last partial interval is not silently
-                    # extrapolated from the previous sample boundary.
-                    if prog.started:
-                        prog.time_series.append((now + dt, float(alloc[f])))
-
-            now += dt
-            if now >= next_sample:
-                next_sample = now + sample_interval.s
-                for f, label in enumerate(self._labels):
-                    prog = self.progress[label]
-                    if prog.started and not prog.done:
-                        prog.time_series.append((now, float(alloc[f])))
-        else:
-            raise SimulationError(
-                f"multi-flow simulation did not settle within {max_ticks} ticks"
-            )
-        return now
-
-    # -- vectorized loop -------------------------------------------------------
-    def _run_numpy(
-        self,
-        until: Optional[TimeDelta],
-        max_ticks: int,
-        sample_interval: TimeDelta,
-        *,
-        rtts: np.ndarray,
-        dt: float,
-        horizon: float,
-        mss_bits: np.ndarray,
-        rwnd_pkts: np.ndarray,
-        loss_p: np.ndarray,
-        rate_caps: np.ndarray,
-    ) -> float:
+        """The exact tick loop, one-shot: stream state, link queues and
+        per-flow progress all start fresh, so a rerun reports the new
+        run alone."""
         rng = self._rng
         has_rng = rng is not None
         n_flows = len(self._specs)
         usage = self._usage
+        self._queues = np.zeros(len(self._links))
 
-        # Struct-of-arrays stream state, flow-major like self._streams.
+        # Struct-of-arrays stream state, streams in flow order.
         k = np.array([s.parallel_streams for s in self._specs], dtype=np.int64)
         flow_of = np.repeat(np.arange(n_flows, dtype=np.int64), k)
         n_streams = int(k.sum())
-        flat = [st for streams in self._streams for st in streams]
-        cwnd = np.array([st.cwnd for st in flat], dtype=np.float64)
-        ssthresh = np.array([st.ssthresh for st in flat], dtype=np.float64)
-        tsl = np.array([st.time_since_loss for st in flat], dtype=np.float64)
-        rtt_clock = np.array([st.rtt_clock for st in flat], dtype=np.float64)
-        loss_flag = np.array([st.loss_flag for st in flat], dtype=bool)
-        delivered = np.array([st.delivered_bits for st in flat],
-                             dtype=np.float64)
-        bounded = np.array([st.remaining_bits is not None for st in flat],
-                           dtype=bool)
-        remaining = np.array([
-            st.remaining_bits if st.remaining_bits is not None else np.inf
-            for st in flat], dtype=np.float64)
+        cwnd = np.full(n_streams, float(self._initial_cwnd))
+        ssthresh = np.full(n_streams, np.inf)
+        tsl = np.zeros(n_streams)
+        rtt_clock = np.zeros(n_streams)
+        loss_flag = np.zeros(n_streams, dtype=bool)
+        delivered = np.zeros(n_streams)
+        remaining = np.repeat([
+            per.bits if per else np.inf
+            for per in (s.per_stream_size() for s in self._specs)], k)
 
         # Per-stream constants gathered once.
         mss_s = mss_bits[flow_of]
@@ -772,12 +511,13 @@ class MultiFlowSimulation:
         has_loss_s = lossp_s > 0.0
         cong_thresh_s = np.minimum(1.0, dt / rtt_s)
 
-        # Per-flow bookkeeping mirrored from/into FlowProgress so repeated
-        # run() calls resume exactly like the scalar backend.
         progresses = [self.progress[label] for label in self._labels]
+        for prog in progresses:
+            prog.finish_time = None
+            prog.time_series = []
         start_f = np.array([s.start.s for s in self._specs])
-        done_f = np.array([p.done for p in progresses], dtype=bool)
-        started_f = np.array([p.started for p in progresses], dtype=bool)
+        done_f = np.zeros(n_flows, dtype=bool)
+        started_f = np.zeros(n_flows, dtype=bool)
         loss_events_f = np.zeros(n_flows, dtype=np.int64)
 
         # Streams grouped by congestion-control *behaviour* for batch
@@ -828,9 +568,8 @@ class MultiFlowSimulation:
             alloc = allocate(demands)
             overflowing = self._advance_queues(demands, dt)
 
-            # n_live is a small exact integer per flow; float bookkeeping
-            # is lossless and the scalar loop's ``alloc / len(live)``
-            # divides by the same value bit-for-bit.
+            # n_live is a small exact integer per flow, so float
+            # bookkeeping is lossless.
             n_live = np.bincount(flow_of, weights=live, minlength=n_flows)
             proc_f = active_f & (demands > 0.0) & (n_live > 0.0)
             if proc_f.any():
@@ -842,7 +581,7 @@ class MultiFlowSimulation:
                 remaining -= got
                 delivered += got
 
-                # Random draws, consumed in the scalar loop's order: flows
+                # Random draws, consumed in a fixed order: flows
                 # ascending, streams in flow order, the congestion draw
                 # before the path-loss draw within a stream.  A single
                 # Generator.random(n) call consumes the PCG64 stream
@@ -872,7 +611,7 @@ class MultiFlowSimulation:
                     hit = u_loss < p_evt
                     loss_flag[np.nonzero(loss_draw)[0][hit]] = True
                 elif n_cong:
-                    # Compressed draw order == stream order == scalar order.
+                    # Compressed draw order == stream order.
                     hit = rng.random(n_cong) < cong_thresh_s[cong_draw]
                     loss_flag[np.nonzero(cong_draw)[0][hit]] = True
                 elif n_loss:
@@ -949,7 +688,10 @@ class MultiFlowSimulation:
                         for f in np.nonzero(newly_done)[0]:
                             prog = progresses[f]
                             prog.finish_time = seconds(now + dt)
-                            # Final-tick sample (see _run_python).
+                            # Final-tick sample: close the series at
+                            # the finish time so the last partial
+                            # interval is not extrapolated from the
+                            # previous sample boundary.
                             prog.time_series.append((now + dt, float(alloc[f])))
 
             now += dt
@@ -962,24 +704,25 @@ class MultiFlowSimulation:
                 f"multi-flow simulation did not settle within {max_ticks} ticks"
             )
 
-        # Mirror the struct-of-arrays state back into the object model.
-        for i, st in enumerate(flat):
-            st.cwnd = float(cwnd[i])
-            st.ssthresh = float(ssthresh[i])
-            st.time_since_loss = float(tsl[i])
-            st.rtt_clock = float(rtt_clock[i])
-            st.loss_flag = bool(loss_flag[i])
-            st.delivered_bits = float(delivered[i])
-            if bounded[i]:
-                st.remaining_bits = float(remaining[i])
-        for f, prog in enumerate(progresses):
-            prog.started = bool(started_f[f] or prog.started)
-            prog.loss_events += int(loss_events_f[f])
+        # A flow's delivered total is the sum of its streams' counters,
+        # accumulated in stream order (``np.bincount`` adds sequentially).
+        delivered_f = np.bincount(flow_of, weights=delivered,
+                                  minlength=n_flows)
+        for prog, started, lost, total in zip(
+                progresses, started_f.tolist(), loss_events_f.tolist(),
+                delivered_f.tolist()):
+            prog.started = started
+            prog.loss_events = lost
+            prog.delivered = bits(total)
+        self.stream_state = {
+            "cwnd": cwnd, "ssthresh": ssthresh, "time_since_loss": tsl,
+            "rtt_clock": rtt_clock, "loss_flag": loss_flag,
+            "delivered_bits": delivered, "remaining_bits": remaining}
         return now
 
     def _advance_queues(self, demands: np.ndarray, dt: float) -> np.ndarray:
         """Advance the per-link virtual queues one tick; return the
-        boolean overflow mask.  Shared verbatim by both backends.
+        boolean overflow mask.
 
         Growing links add ``overload * dt`` and draining links subtract
         it with a clamp at empty; since queues are non-negative, both

@@ -1,36 +1,22 @@
-"""Shared plumbing for the dual-backend vectorized kernels.
+"""Engine names for the simulation kernels.
 
-The three hot paths (the multi-flow fluid tick loop, the fan-in Lindley
-sweep, and max-min fair allocation) each ship a vectorized numpy kernel
-and a scalar Python reference selected with ``backend="numpy"`` /
-``backend="python"``.  The two implementations of each kernel are
-bit-identical; this module holds the tiny pieces they share so the
-contract is stated once.
+Three engines, one name each (:data:`SIM_ENGINES`):
 
-Rules the kernels follow to stay bit-identical:
+* ``"exact"`` — the per-flow kernels: the multi-flow tick loop, the
+  fan-in Lindley sweep and max-min fair allocation, each a single
+  vectorized numpy implementation whose results the golden digests
+  pin bit for bit;
+* ``"fluid"`` — the :mod:`repro.fluid` mean-field engine, which trades
+  per-flow congestion state for flow-class population dynamics, so its
+  results carry an accuracy contract (delivered-bytes ratio within 1%
+  at matched horizon) rather than a bit-identity contract;
+* ``"hybrid"`` — picks ``"fluid"`` at or above a stream-population
+  threshold and ``"exact"`` below it.
 
-* per-group reductions use sequential-accumulation primitives
-  (``np.cumsum`` / ``np.bincount``), which numpy evaluates in array
-  order exactly like the scalar loop;
-* random variates are drawn in the scalar loop's order — one
-  ``Generator.random(n)`` call consumes the PCG64 stream identically to
-  *n* scalar ``random()`` calls;
-* transcendental arithmetic (``**``) is routed through numpy's array
-  loops on *both* paths, because numpy's SIMD ``pow`` may differ from
-  libm's scalar ``pow`` in the final bit (see :func:`pow_elementwise`).
-
-Engine tiers
-------------
-:data:`SIM_BACKENDS` is the *bit-identical* tier: same numbers, different
-implementation.  The multi-flow simulator additionally understands a
-second, *approximate* tier (:data:`SIM_ENGINES` adds ``"fluid"`` and
-``"hybrid"``): the :mod:`repro.fluid` mean-field engine trades
-per-flow congestion state for flow-class population dynamics, so its
-results carry an accuracy contract (delivered-bytes ratio within 1% at
-matched horizon) rather than a bit-identity contract.  Kernels that only
-exist in the exact tier (fan-in, max-min) map an engine-tier default to
-``"numpy"`` via :func:`exact_backend` — selecting the fluid engine
-process-wide must never change *their* numbers.
+Only :class:`~repro.tcp.simulate.MultiFlowSimulation` chooses between
+them.  The fan-in sweep and the allocator exist in the exact tier alone,
+so selecting the fluid engine process-wide never changes *their*
+numbers.
 """
 
 from __future__ import annotations
@@ -39,48 +25,27 @@ import contextlib
 import os
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .errors import ConfigurationError
 
 __all__ = [
-    "SIM_BACKENDS",
     "SIM_ENGINES",
-    "check_backend",
     "check_engine",
     "default_backend",
-    "exact_backend",
-    "pow_elementwise",
-    "resolve_backend",
     "resolve_engine",
     "set_default_backend",
     "use_backend",
 ]
 
-#: Bit-identical kernel implementations (same results, different code).
-SIM_BACKENDS = ("numpy", "python")
-
-#: Everything a simulation ``backend=`` argument may name: the exact
-#: tier plus the approximate mean-field tier ("fluid") and the
-#: population-threshold dispatcher ("hybrid").
-SIM_ENGINES = SIM_BACKENDS + ("fluid", "hybrid")
+#: Everything a simulation ``backend=`` argument may name.
+SIM_ENGINES = ("exact", "fluid", "hybrid")
 
 #: Process-wide default set by :func:`set_default_backend`; None means
-#: "consult the REPRO_BACKEND environment variable, else numpy".
+#: "consult the REPRO_BACKEND environment variable, else exact".
 _DEFAULT_BACKEND: Optional[str] = None
 
 
-def check_backend(backend: str) -> str:
-    """Validate an exact-tier ``backend=`` argument, returning it unchanged."""
-    if backend not in SIM_BACKENDS:
-        known = ", ".join(SIM_BACKENDS)
-        raise ConfigurationError(
-            f"unknown simulation backend {backend!r}; known: {known}")
-    return backend
-
-
 def check_engine(backend: str) -> str:
-    """Validate a ``backend=`` argument against the full engine tier."""
+    """Validate a ``backend=`` argument, returning it unchanged."""
     if backend not in SIM_ENGINES:
         known = ", ".join(SIM_ENGINES)
         raise ConfigurationError(
@@ -89,21 +54,19 @@ def check_engine(backend: str) -> str:
 
 
 def default_backend() -> str:
-    """The backend used when a kernel is called with ``backend=None``.
+    """The engine used when a simulation is built with ``backend=None``.
 
     Resolution order: :func:`set_default_backend`, then the
-    ``REPRO_BACKEND`` environment variable, then ``"numpy"``.  May name
-    any :data:`SIM_ENGINES` member; exact-tier kernels downgrade an
-    engine-tier default through :func:`exact_backend`.
+    ``REPRO_BACKEND`` environment variable, then ``"exact"``.
     """
     if _DEFAULT_BACKEND is not None:
         return _DEFAULT_BACKEND
     env = os.environ.get("REPRO_BACKEND", "")
-    return check_engine(env) if env else "numpy"
+    return check_engine(env) if env else "exact"
 
 
 def set_default_backend(backend: Optional[str]) -> Optional[str]:
-    """Set the process default (None restores env/numpy resolution).
+    """Set the process default (None restores env/exact resolution).
 
     Returns the previous override so callers can restore it.
     """
@@ -111,31 +74,6 @@ def set_default_backend(backend: Optional[str]) -> Optional[str]:
     previous = _DEFAULT_BACKEND
     _DEFAULT_BACKEND = check_engine(backend) if backend is not None else None
     return previous
-
-
-def exact_backend(backend: Optional[str]) -> str:
-    """Collapse an engine name onto the bit-identical tier.
-
-    ``"python"`` stays ``"python"``; everything else — ``"numpy"``,
-    ``"fluid"``, ``"hybrid"``, or None (resolve the default first) —
-    becomes ``"numpy"``.  Used by the exact-only kernels (fan-in,
-    max-min) and by the hybrid dispatcher below its switchover
-    threshold, where the scalar reference must stay selectable but an
-    approximate engine name cannot leak through.
-    """
-    name = check_engine(backend) if backend is not None else default_backend()
-    return name if name in SIM_BACKENDS else "numpy"
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """A concrete *exact-tier* backend from an optional argument.
-
-    An explicit argument must belong to the exact tier; a None default
-    that resolves to an engine-tier name collapses to ``"numpy"``.
-    """
-    if backend is not None:
-        return check_backend(backend)
-    return exact_backend(None)
 
 
 def resolve_engine(backend: Optional[str]) -> str:
@@ -148,22 +86,11 @@ def resolve_engine(backend: Optional[str]) -> str:
 def use_backend(backend: str) -> Iterator[str]:
     """Temporarily make ``backend`` the process default::
 
-        with use_backend("python"):
-            run_experiment(spec)       # every kernel takes the scalar path
+        with use_backend("fluid"):
+            run_experiment(spec)       # every simulation takes the fluid tier
     """
     previous = set_default_backend(backend)
     try:
         yield check_engine(backend)
     finally:
         set_default_backend(previous)
-
-
-def pow_elementwise(base: float, exponent: float) -> float:
-    """``base ** exponent`` evaluated through numpy's array power loop.
-
-    numpy's vectorized ``**`` may differ from libm's scalar ``pow`` in
-    the final bit; scalar reference backends route their powers through
-    the same array loop as the vectorized kernels so the two stay
-    bit-identical.
-    """
-    return float(np.power(np.array([base]), np.array([exponent]))[0])

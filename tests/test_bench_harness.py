@@ -99,10 +99,13 @@ class TestScenarios:
         with pytest.raises(ConfigurationError, match="unknown bench"):
             bench.run_suite(["maxmin.numpy", "nope"])
 
-    def test_registry_covers_both_backends(self):
+    def test_registry_times_each_shipped_kernel_once(self):
+        # The scalar references live in tests/reference and are not
+        # shipped, so only the numpy kernels are registered; they keep
+        # their ``.numpy`` names so baseline entries match.
         for family in ("multiflow", "fanin", "maxmin"):
             assert f"{family}.numpy" in bench.SCENARIOS
-            assert f"{family}.python" in bench.SCENARIOS
+            assert f"{family}.python" not in bench.SCENARIOS
 
     def test_run_scenario_times_quick_workload(self):
         result = bench.run_scenario("maxmin.numpy", repeats=1, quick=True)

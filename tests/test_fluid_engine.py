@@ -19,6 +19,8 @@ context construction and CLI startup.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -32,6 +34,7 @@ from repro.netsim.flow import FlowSpec
 from repro.tcp.simulate import MultiFlowSimulation, _ProgressiveFiller
 from repro.units import Gbps, MB, bytes_, ms, seconds
 from repro.workloads import traffic_matrix, wan_backbone
+from tests.reference import allocate_python, scalar_kernels
 
 
 def chain_topology(n_routers: int = 3, n_hosts: int = 8,
@@ -167,16 +170,19 @@ def test_stepper_monotone_in_horizon():
 def test_hybrid_below_switchover_bit_identical_to_python(
         n_flows, streams, size_mb):
     """Below the threshold, hybrid IS the exact tier: byte-identical
-    delivered totals, loss counts and time series vs backend="python"."""
+    delivered totals, loss counts and time series vs the exact tier on
+    the scalar Python reference kernels."""
     outs = {}
-    for backend in ("python", "hybrid"):
+    for backend, kernels in (("exact", scalar_kernels),
+                             ("hybrid", contextlib.nullcontext)):
         topo = chain_topology()
-        sim = MultiFlowSimulation(
-            topo, make_specs(n_flows, streams, size_mb, 0.1),
-            backend=backend)
-        assert sim.backend in ("python", "numpy")
-        outs[backend] = sim.run(until=seconds(1.5))
-    a, b = outs["python"], outs["hybrid"]
+        with kernels():
+            sim = MultiFlowSimulation(
+                topo, make_specs(n_flows, streams, size_mb, 0.1),
+                backend=backend)
+            assert sim.backend == "exact"
+            outs[backend] = sim.run(until=seconds(1.5))
+    a, b = outs["exact"], outs["hybrid"]
     assert set(a) == set(b)
     for label in a:
         assert a[label].delivered.bits == b[label].delivered.bits
@@ -236,9 +242,8 @@ def test_fluid_engine_allocator_backends_bit_identical(monkeypatch):
     # The short-circuit fired on some ticks, and not on every one.
     assert 0 < short_circuit_calls < len(calls)
 
-    monkeypatch.setattr(_ProgressiveFiller, "_allocate_numpy",
-                        _ProgressiveFiller._allocate_python)
-    slow = run()  # scalar reference on every tick
+    with scalar_kernels():
+        slow = run()  # scalar reference on every tick
     for other in (forced, slow):
         assert (fast.ticks, fast.now_s) == (other.ticks, other.now_s)
         assert fast.samples == other.samples
@@ -281,7 +286,7 @@ def test_filler_grants_demands_when_every_link_has_slack(problem):
     assume((load <= capacities * (1.0 - _SLACK)).all())
     filler = _ProgressiveFiller(usage, capacities)
     assert filler._allocate_numpy(demands).tobytes() == demands.tobytes()
-    assert filler._allocate_python(demands).tobytes() == demands.tobytes()
+    assert allocate_python(filler, demands).tobytes() == demands.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,7 +305,7 @@ def test_filler_boundary_loads_match_the_scalar_reference(problem):
         assert not (load <= caps * (1.0 - _SLACK)).all()
         filler = _ProgressiveFiller(usage, caps)
         assert (filler._allocate_numpy(demands).tobytes()
-                == filler._allocate_python(demands).tobytes())
+                == allocate_python(filler, demands).tobytes())
 
 
 def test_fluid_split_algorithm_groups_match_one_group():
@@ -376,28 +381,82 @@ def test_fluid_same_tick_births_unbounded_and_capped_members():
 
 
 def test_fluid_rerun_matches_fresh_run():
-    """The fluid tier is one-shot: a second run() re-simulates from
-    t=0, so its progress must equal a fresh simulation's, with nothing
-    left over from the longer first run."""
+    """Every tier is one-shot: a second run() re-simulates from t=0, so
+    its progress must equal a fresh simulation's, with nothing left over
+    from the longer first run.  Hybrid takes the fluid tier with
+    switchover=1 and the exact one with an unreachable switchover; the
+    exact tier also reports loss counts, time series and queues, which
+    must start over too."""
     topo = wan_backbone(12)
     specs = traffic_matrix([f"site{i}" for i in range(12)], n_flows=400,
                            rng=np.random.default_rng(1), mean_size=MB(8),
                            arrival_window=seconds(3)).specs()
 
-    def sim():
+    def sim(switchover):
         return MultiFlowSimulation(topo, specs, backend="hybrid",
-                                   switchover=1)
+                                   switchover=switchover)
+
+    for engine, switchover in (("fluid", 1), ("exact", 10**9)):
+        rerun = sim(switchover)
+        assert rerun.backend == engine
+        rerun.run(until=seconds(10))
+        again = rerun.run(until=seconds(0.5))
+        first = sim(switchover)
+        fresh = first.run(until=seconds(0.5))
+        assert 0 < sum(p.done for p in fresh.values()) < len(specs)
+        assert sum(p.started for p in fresh.values()) < len(specs)
+        for label, prog in fresh.items():
+            other = again[label]
+            assert (other.started, other.delivered, other.finish_time) == (
+                prog.started, prog.delivered, prog.finish_time), label
+        if engine == "exact":
+            assert rerun.finished_at == first.finished_at
+            assert rerun._queues.tobytes() == first._queues.tobytes()
+            for label, prog in fresh.items():
+                other = again[label]
+                assert (other.loss_events, other.time_series) == (
+                    prog.loss_events, prog.time_series), label
+
+
+def test_exact_rerun_matches_fresh_run_under_congestion():
+    """The exact tier's one-shot contract where it bites: a first run
+    stopped at 0.2 s, with both link queues near their buffer and after
+    loss events, then a second run, must report exactly what a fresh
+    run does (finish clock, time series, loss counts, queues and
+    per-stream state).  The large initial window overloads the links
+    from the first tick, so a queue carried over from the first run
+    would change when the second one loses."""
+    from repro.netsim.node import Router
+
+    topo = Topology("rerun")
+    topo.add_host("a", nic_rate=Gbps(10))
+    topo.add_host("b", nic_rate=Gbps(10))
+    topo.add_node(Router(name="r"))
+    topo.connect("a", "r", Link(rate=Gbps(1), delay=ms(5)))
+    topo.connect("r", "b", Link(rate=Gbps(1), delay=ms(5)))
+    specs = [FlowSpec(src="a", dst="b", size=MB(400), parallel_streams=2,
+                      label="f")]
+
+    def sim():
+        return MultiFlowSimulation(topo, specs, backend="exact",
+                                   initial_cwnd=100)
 
     rerun = sim()
-    rerun.run(until=seconds(10))
-    again = rerun.run(until=seconds(0.5))
-    fresh = sim().run(until=seconds(0.5))
-    assert 0 < sum(p.done for p in fresh.values()) < len(specs)
-    assert sum(p.started for p in fresh.values()) < len(specs)
-    for label, prog in fresh.items():
-        other = again[label]
-        assert (other.started, other.delivered, other.finish_time) == (
-            prog.started, prog.delivered, prog.finish_time), label
+    first = rerun.run(until=seconds(0.2))["f"]
+    assert first.loss_events > 0 and (rerun._queues > 0.0).all()
+    again = rerun.run(until=seconds(1))["f"]
+    fresh_sim = sim()
+    fresh = fresh_sim.run(until=seconds(1))["f"]
+    assert rerun.finished_at == fresh_sim.finished_at
+    assert fresh_sim.finished_at.s == pytest.approx(1.005)
+    assert [t for t, _ in fresh.time_series] == pytest.approx([0.01005])
+    assert (again.started, again.delivered, again.finish_time,
+            again.loss_events, again.time_series) == (
+        fresh.started, fresh.delivered, fresh.finish_time,
+        fresh.loss_events, fresh.time_series)
+    assert rerun._queues.tobytes() == fresh_sim._queues.tobytes()
+    for name, values in fresh_sim.stream_state.items():
+        assert rerun.stream_state[name].tobytes() == values.tobytes(), name
 
 
 def test_hybrid_custom_switchover():
@@ -407,7 +466,7 @@ def test_hybrid_custom_switchover():
     assert sim.backend == "fluid"
     sim = MultiFlowSimulation(topo, make_specs(4, 4, 1.0, 0.0),
                               backend="hybrid", switchover=17)
-    assert sim.backend == "numpy"
+    assert sim.backend == "exact"
 
 
 def test_hybrid_replays_golden_digests_byte_identically():
@@ -434,9 +493,13 @@ def test_hybrid_replays_golden_digests_byte_identically():
 # -- configuration surface ----------------------------------------------------
 
 def test_run_context_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError):
-        from repro.experiment import RunContext
-        RunContext(backend="cuda")
+    """Unknown names fail, and so do the retired ``numpy`` / ``python``
+    ones: there is no alias for either."""
+    from repro.experiment import RunContext
+    for name in ("cuda", "numpy", "python"):
+        with pytest.raises(ConfigurationError,
+                           match="known: exact, fluid, hybrid"):
+            RunContext(backend=name)
 
 
 def test_run_context_from_env_honors_repro_backend(monkeypatch):
@@ -445,18 +508,22 @@ def test_run_context_from_env_honors_repro_backend(monkeypatch):
     ctx = RunContext.from_env()
     assert ctx.backend == "fluid"
     assert ctx.resolved_backend() == "fluid"
-    monkeypatch.setenv("REPRO_BACKEND", "not-a-backend")
-    with pytest.raises(ConfigurationError):
-        RunContext.from_env()
+    for name in ("not-a-backend", "numpy", "python"):
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        with pytest.raises(ConfigurationError,
+                           match="known: exact, fluid, hybrid"):
+            RunContext.from_env()
 
 
 def test_cli_invalid_repro_backend_is_exit_2(monkeypatch, capsys):
     from repro import cli
-    monkeypatch.setenv("REPRO_BACKEND", "not-a-backend")
-    code = cli.main(["designs"])
-    assert code == cli.EXIT_BAD_INPUT
-    err = capsys.readouterr().err
-    assert "unknown simulation backend" in err
+    for name in ("not-a-backend", "numpy", "python"):
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        code = cli.main(["designs"])
+        assert code == cli.EXIT_BAD_INPUT, name
+        err = capsys.readouterr().err
+        assert f"unknown simulation backend {name!r}" in err
+        assert "known: exact, fluid, hybrid" in err
 
 
 def test_cli_valid_repro_backend_still_runs(monkeypatch):
@@ -473,8 +540,8 @@ def test_manifest_records_resolved_backend(tmp_path):
     root = pathlib.Path(__file__).parent.parent
     spec = ExperimentSpec.from_file(str(root / "specs" /
                                         "fig1_tcp_loss_quick.json"))
-    ctx = RunContext(backend="python", artifacts=tmp_path)
+    ctx = RunContext(backend="exact", artifacts=tmp_path)
     result = run_experiment(spec, ctx)
-    assert result.manifest.backend == "python"
+    assert result.manifest.backend == "exact"
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
-    assert on_disk["run"]["backend"] == "python"
+    assert on_disk["run"]["backend"] == "exact"

@@ -1,5 +1,6 @@
 """Tests for the multi-flow fluid simulation and max-min fairness."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -9,6 +10,13 @@ from repro.errors import ConfigurationError
 from repro.netsim import FlowSpec, Link, Topology
 from repro.tcp.simulate import MultiFlowSimulation, max_min_fair_allocation
 from repro.units import GB, Gbps, MB, Mbps, bytes_, ms, seconds
+from tests.reference import scalar_kernels
+
+#: The allocator edge cases run on the shipped numpy kernel and on the
+#: scalar Python reference patched over it.
+ALLOCATORS = pytest.mark.parametrize(
+    "allocator", [contextlib.nullcontext, scalar_kernels],
+    ids=["numpy", "python"])
 
 
 class TestMaxMinFairness:
@@ -73,47 +81,49 @@ class TestMaxMinFairness:
                                     np.array([[True, False]]),
                                     np.array([1.0]))
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_infinite_demand_on_no_link_raises_no_warning(self, backend):
+    @ALLOCATORS
+    def test_infinite_demand_on_no_link_raises_no_warning(self, allocator):
         # Flow 0 crosses no link, so its infinite demand is granted
         # whole; flow 1 needs a second round, whose headroom arithmetic
         # used to compute inf - inf for flow 0.
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), allocator():
             warnings.simplefilter("error", RuntimeWarning)
             alloc = max_min_fair_allocation(
                 np.array([np.inf, 100.0]),
                 np.array([[False], [True]]),
-                np.array([10.0]), backend=backend)
+                np.array([10.0]))
         assert alloc.tolist() == [np.inf, 10.0]
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @ALLOCATORS
     def test_infinite_demand_on_infinite_link_leaves_sharers_finite(
-            self, backend):
+            self, allocator):
         # Both flows cross the infinite link; only flow 1 also crosses the
         # 10-unit one.  Granting flow 0 an infinite rate must not turn the
         # infinite link's remaining capacity (and flow 1's rate) into NaN.
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), allocator():
             warnings.simplefilter("error", RuntimeWarning)
             alloc = max_min_fair_allocation(
                 np.array([np.inf, 100.0]),
                 np.array([[True, False], [True, True]]),
-                np.array([np.inf, 10.0]), backend=backend)
+                np.array([np.inf, 10.0]))
         assert alloc.tolist() == [np.inf, 10.0]
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @ALLOCATORS
     @pytest.mark.parametrize("bad", [np.nan, -1.0])
-    def test_nan_or_negative_capacity_rejected(self, backend, bad):
-        with pytest.raises(ConfigurationError, match="capacities"):
+    def test_nan_or_negative_capacity_rejected(self, allocator, bad):
+        with pytest.raises(ConfigurationError, match="capacities"), \
+                allocator():
             max_min_fair_allocation(
                 np.array([1.0, 1.0]), np.array([[True, True], [False, True]]),
-                np.array([10.0, bad]), backend=backend)
+                np.array([10.0, bad]))
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_nan_demand_rejected(self, backend):
-        with pytest.raises(ConfigurationError, match="NaN demand"):
+    @ALLOCATORS
+    def test_nan_demand_rejected(self, allocator):
+        with pytest.raises(ConfigurationError, match="NaN demand"), \
+                allocator():
             max_min_fair_allocation(
                 np.array([1.0, np.nan]), np.array([[True], [True]]),
-                np.array([10.0]), backend=backend)
+                np.array([10.0]))
 
 
 class TestMultiFlow:

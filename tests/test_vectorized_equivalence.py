@@ -1,16 +1,20 @@
-"""Bit-identity of the vectorized kernels against the scalar references.
+"""Bit-identity of the exact kernels against the scalar references.
 
-The three hot paths (multi-flow fluid loop, fan-in Lindley sweep,
-max-min fair allocation) each ship a numpy kernel and a scalar Python
-reference behind ``backend=``.  The contract is *bit*-identity, not
-approximate equality: goldens were recorded against the scalar code, so
-any last-bit divergence in the vectorized path would silently shift
-reproduced numbers.  These property tests drive both backends over
-randomized topologies, flow mixes, seeds, and loss regimes and compare
-raw float bit patterns (``tobytes()`` / exact ``==``).
+The three hot paths (multi-flow tick loop, fan-in Lindley sweep,
+max-min fair allocation) each ship one numpy kernel; ``tests.reference``
+holds a scalar Python loop for each and patches it in with
+``scalar_kernels()``.  The contract is *bit*-identity, not approximate
+equality: goldens were recorded against the scalar code, so any
+last-bit divergence in the vectorized path would silently shift
+reproduced numbers.  These property tests drive both implementations
+over randomized topologies, flow mixes, seeds, and loss regimes and
+compare raw float bit patterns (``tobytes()`` / exact ``==``).
 """
 
 from __future__ import annotations
+
+import collections
+import contextlib
 
 import numpy as np
 import pytest
@@ -19,16 +23,19 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.netsim import Link, Topology
 from repro.netsim.flow import FlowSpec
+from repro.netsim import packetsim
 from repro.netsim.packetsim import BurstySource, simulate_fan_in
 from repro.tcp.congestion import Cubic, HTcp, Reno
 from repro.tcp.simulate import (
     MultiFlowSimulation,
-    SIM_BACKENDS,
+    _ProgressiveFiller,
     max_min_fair_allocation,
 )
 from repro.units import Gbps, KB, MB, Mbps, bytes_, ms, seconds
+from tests import reference
+from tests.reference import scalar_kernels
 
-# Property tests run both backends per example; keep example counts
+# Property tests run both implementations per example; keep example counts
 # modest so tier-1 stays fast.  deadline=None: the simulation examples
 # legitimately take tens of milliseconds each.
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -64,15 +71,10 @@ def allocation_problems(draw):
 @given(allocation_problems())
 def test_max_min_backends_bit_identical(problem):
     demands, usage, capacities = problem
-    a = max_min_fair_allocation(demands, usage, capacities, backend="numpy")
-    b = max_min_fair_allocation(demands, usage, capacities, backend="python")
+    a = max_min_fair_allocation(demands, usage, capacities)
+    with scalar_kernels():
+        b = max_min_fair_allocation(demands, usage, capacities)
     assert a.tobytes() == b.tobytes()
-
-
-def test_max_min_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError, match="backend"):
-        max_min_fair_allocation(np.ones(2), np.ones((2, 1), dtype=bool),
-                                np.ones(1), backend="fortran")
 
 
 # -- fan-in Lindley sweep -----------------------------------------------------
@@ -88,22 +90,23 @@ def fanin_problems(draw):
     return n_sources, mean_mbps, egress_gbps, buffer_kb, duration_ms, seed
 
 
-def _run_fanin(backend, n_sources, mean_mbps, egress_gbps, buffer_kb,
-               duration_ms, seed):
+def _run_fanin(n_sources, mean_mbps, egress_gbps, buffer_kb, duration_ms,
+               seed):
     sources = [BurstySource(name=f"s{i}", line_rate=Gbps(1),
                             mean_rate=Mbps(mean_mbps), burst_size=KB(128))
                for i in range(n_sources)]
     return simulate_fan_in(sources, egress_rate=Gbps(egress_gbps),
                            buffer_size=KB(buffer_kb),
                            duration=seconds(duration_ms / 1e3),
-                           rng=np.random.default_rng(seed), backend=backend)
+                           rng=np.random.default_rng(seed))
 
 
 @SETTINGS
 @given(fanin_problems())
 def test_fanin_backends_bit_identical(problem):
-    a = _run_fanin("numpy", *problem)
-    b = _run_fanin("python", *problem)
+    a = _run_fanin(*problem)
+    with scalar_kernels():
+        b = _run_fanin(*problem)
     assert a.total_offered == b.total_offered
     assert a.total_delivered == b.total_delivered
     assert a.total_dropped == b.total_dropped
@@ -115,15 +118,6 @@ def test_fanin_backends_bit_identical(problem):
                 sa.dropped_packets) == \
                (sb.offered_packets, sb.delivered_packets,
                 sb.dropped_packets)
-
-
-def test_fanin_rejects_unknown_backend():
-    src = [BurstySource(name="s", line_rate=Gbps(1), mean_rate=Mbps(100),
-                        burst_size=KB(64))]
-    with pytest.raises(ConfigurationError, match="backend"):
-        simulate_fan_in(src, egress_rate=Gbps(1), buffer_size=KB(64),
-                        duration=seconds(0.01),
-                        rng=np.random.default_rng(0), backend="jax")
 
 
 # -- multi-flow fluid simulation ----------------------------------------------
@@ -188,41 +182,75 @@ def _state_fingerprint(sim, progresses):
             prog.started,
             tuple(prog.time_series),
         )
-    flat = [st_ for flow_streams in sim._streams for st_ in flow_streams]
-    for i, st_ in enumerate(flat):
-        state[f"stream{i}"] = (st_.cwnd, st_.ssthresh, st_.time_since_loss,
-                               st_.rtt_clock, st_.loss_flag,
-                               st_.delivered_bits, st_.remaining_bits)
+    for name, values in sorted(sim.stream_state.items()):
+        state[name] = (values.dtype.str, values.tobytes())
     return state
 
 
 @SIM_SETTINGS
 @given(simulation_problems())
 def test_multiflow_backends_bit_identical(problem):
-    states = {}
-    for backend in SIM_BACKENDS:
-        sim = _build_sim(backend, *problem)
-        out = sim.run(until=seconds(4))
-        states[backend] = _state_fingerprint(sim, out)
-    assert states["numpy"] == states["python"]
+    sim = _build_sim("exact", *problem)
+    exact = _state_fingerprint(sim, sim.run(until=seconds(4)))
+    with scalar_kernels():
+        sim = _build_sim("exact", *problem)
+        reference = _state_fingerprint(sim, sim.run(until=seconds(4)))
+    assert exact == reference
 
 
 def test_multiflow_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError, match="backend"):
-        _build_sim("cython", 2, 0, 0.0, 0,
-                   [{"src": 0, "dst": 1, "mb": 5, "streams": 1,
-                     "start_ms": 0, "unbounded": False}])
+    # The retired "numpy" / "python" names have no alias.
+    for name in ("cython", "numpy", "python"):
+        with pytest.raises(ConfigurationError,
+                           match="known: exact, fluid, hybrid"):
+            _build_sim(name, 2, 0, 0.0, 0,
+                       [{"src": 0, "dst": 1, "mb": 5, "streams": 1,
+                         "start_ms": 0, "unbounded": False}])
 
 
 def test_final_tick_rate_recorded_on_finish():
     """A flow finishing mid-interval records its final-tick rate at the
-    finish time on both backends (the time_series regression fix)."""
-    for backend in SIM_BACKENDS:
-        sim = _build_sim(backend, 2, 5, 0.0, 1,
-                         [{"src": 0, "dst": 1, "mb": 20, "streams": 2,
-                           "start_ms": 0, "unbounded": False}])
-        prog = sim.run(until=seconds(10))["f0"]
+    finish time, on the exact kernel and on the scalar reference (the
+    time_series regression fix)."""
+    for patch in (contextlib.nullcontext, scalar_kernels):
+        with patch():
+            sim = _build_sim("exact", 2, 5, 0.0, 1,
+                             [{"src": 0, "dst": 1, "mb": 20, "streams": 2,
+                               "start_ms": 0, "unbounded": False}])
+            prog = sim.run(until=seconds(10))["f0"]
         assert prog.done and prog.finish_time is not None
         last_t, last_rate = prog.time_series[-1]
         assert last_t == pytest.approx(prog.finish_time.s)
         assert last_rate > 0.0
+
+
+def test_scalar_kernels_reach_every_reference(monkeypatch):
+    """The differential tests above are only as strong as the patch:
+    under ``scalar_kernels()`` each hot path must run its scalar loop,
+    and leaving the block must restore the shipped kernels."""
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(reference, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("run_python", "allocate_python", "sweep_python"):
+        monkeypatch.setattr(reference, name, counted(name))
+    shipped = (MultiFlowSimulation._run_exact,
+               _ProgressiveFiller._allocate_numpy, packetsim._sweep_numpy)
+    with scalar_kernels():
+        sim = _build_sim("exact", 2, 0, 0.0, 0,
+                         [{"src": 0, "dst": 1, "mb": 5, "streams": 2,
+                           "start_ms": 0, "unbounded": False}])
+        sim.run(until=seconds(1))
+        max_min_fair_allocation(np.ones(2), np.ones((2, 1), dtype=bool),
+                                np.ones(1))
+        _run_fanin(2, 300, 1.0, 64, 20, 0)
+    assert set(calls) == {"run_python", "allocate_python", "sweep_python"}
+    assert (MultiFlowSimulation._run_exact,
+            _ProgressiveFiller._allocate_numpy,
+            packetsim._sweep_numpy) == shipped
