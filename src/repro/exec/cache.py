@@ -63,6 +63,7 @@ import os
 import pathlib
 import tempfile
 import threading
+import weakref
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import ExecError
@@ -80,21 +81,36 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 LAYOUT_VERSION = 1
 
 
+#: Tags already computed, per function object.  ``inspect.getsource``
+#: tokenizes the whole function: 39% of a warm (all-hit) campaign run.
+_TAGS: "weakref.WeakKeyDictionary[Callable[..., object], str]" = \
+    weakref.WeakKeyDictionary()
+
+
 def code_version_tag(fn: Callable[..., object]) -> str:
     """A short tag that changes when ``fn``'s source changes.
 
     Hashes the function's source text (falling back to just its
     identity for builtins/callables without source).  Used as the
     default ``version`` component of cache keys: edit the function and
-    its old entries silently become misses.
+    its old entries silently become misses.  The tag is computed once
+    per function object.
     """
+    try:
+        return _TAGS[fn]
+    except (KeyError, TypeError):
+        pass
     ident = f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
     try:
         source = inspect.getsource(fn)
     except (OSError, TypeError):
         source = ""
-    digest = hashlib.sha256(f"{ident}\n{source}".encode("utf-8"))
-    return digest.hexdigest()[:16]
+    tag = hashlib.sha256(f"{ident}\n{source}".encode("utf-8")).hexdigest()[:16]
+    try:
+        _TAGS[fn] = tag
+    except TypeError:  # not weak-referenceable
+        pass
+    return tag
 
 
 def function_fingerprint(fn: Callable[..., object]) -> Tuple[str, str]:
@@ -330,16 +346,19 @@ class ResultCache:
     def uncacheable(self) -> int:
         return int(self._uncacheable.value)
 
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot, e.g. for a CI artifact."""
+    def counters(self) -> Dict[str, int]:
+        """The hit/miss/store counters, without scanning the directory."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "uncacheable": self.uncacheable,
             "corrupt": int(self._corrupt.value),
-            "entries": len(self),
         }
+
+    def stats(self) -> Dict[str, int]:
+        """Counter snapshot plus the entry count, e.g. for a CI artifact."""
+        return {**self.counters(), "entries": len(self)}
 
 
 def _portable(params: Mapping[str, object]) -> Dict[str, object]:

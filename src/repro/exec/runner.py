@@ -233,8 +233,7 @@ class ParallelRunner:
         }
         if self.cache is not None:
             out.update({f"cache_{k}": v
-                        for k, v in self.cache.stats().items()
-                        if k != "entries"})
+                        for k, v in self.cache.counters().items()})
         return out
 
     def stats(self) -> Dict[str, int]:

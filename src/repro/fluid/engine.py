@@ -50,7 +50,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..tcp.congestion import CongestionControl, algorithm_key
-from ..tcp.simulate import _ProgressiveFiller
+from ..tcp.simulate import _SLACK, _ProgressiveFiller
 from .classes import FlowClass
 
 __all__ = ["DEFAULT_SWITCHOVER", "FluidEngine", "FluidResult"]
@@ -59,11 +59,6 @@ __all__ = ["DEFAULT_SWITCHOVER", "FluidEngine", "FluidResult"]
 #: streams (flows x parallel streams) take the fluid engine; smaller
 #: populations stay on the exact per-flow kernels.
 DEFAULT_SWITCHOVER = 1024
-
-#: Relative headroom every link must keep for a tick to skip the max-min
-#: filler: far above the rounding in the filler's running sums, far
-#: below any load the filler would cut.
-_SLACK = 1e-9
 
 
 @dataclass

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ INITIAL_WINDOW_SEGMENTS = 10.0
 #: Minimum retransmission timeout (RFC 6298 lower bound, Linux uses 200 ms;
 #: we follow the RFC's conservative 1 s to make timeout pain visible).
 MIN_RTO_SECONDS = 1.0
+#: Largest block of loss variates the round loop draws at once.
+_LOSS_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,10 @@ class RoundSample:
 class TransferResult:
     """Outcome of a single-connection transfer or measurement.
 
-    ``samples`` is decimated (stride doubles once 8192 samples accumulate)
-    so even multi-million-round transfers stay small.
+    ``rows`` holds the decimated ``(time, cwnd, throughput)`` samples
+    (stride doubles once 8192 accumulate) so even multi-million-round
+    transfers stay small; ``samples`` builds the :class:`RoundSample`
+    objects from them on first read.
     """
 
     bytes_delivered: DataSize
@@ -72,7 +77,8 @@ class TransferResult:
     timeouts: int
     algorithm: str
     extrapolated: bool = False
-    samples: List[RoundSample] = field(default_factory=list)
+    rows: List[Tuple[float, float, float]] = field(default_factory=list,
+                                                   repr=False)
 
     @property
     def mean_throughput(self) -> DataRate:
@@ -80,12 +86,15 @@ class TransferResult:
             return DataRate(0.0)
         return DataRate(self.bytes_delivered.bits / self.duration.s)
 
+    @cached_property
+    def samples(self) -> List[RoundSample]:
+        """The decimated samples as :class:`RoundSample` objects."""
+        return [RoundSample(*row) for row in self.rows]
+
     def sample_arrays(self) -> tuple:
         """(time_s, cwnd_segments, throughput_bps) as numpy arrays."""
-        t = np.array([s.time for s in self.samples])
-        w = np.array([s.cwnd_segments for s in self.samples])
-        r = np.array([s.throughput_bps for s in self.samples])
-        return t, w, r
+        t, w, r = np.array(self.rows, dtype=np.float64).reshape(-1, 3).T
+        return t.copy(), w.copy(), r.copy()
 
     def summary(self) -> str:
         tail = " (extrapolated)" if self.extrapolated else ""
@@ -239,7 +248,7 @@ class TcpConnection:
         rounds = 0
         extrapolated = False
 
-        samples: List[RoundSample] = []
+        rows: List[Tuple[float, float, float]] = []
         stride = 1
         since_sample = 0
 
@@ -250,9 +259,35 @@ class TcpConnection:
         mss = self.mss_bits
         bdp = self.bdp_segments
         buf = self.buffer_segments
+        base_rtt = self.base_rtt
+        capacity = self.capacity_bps
+        rwnd = self.rwnd_segments
+        # The sender's offered-window ceiling.  ``min`` only selects, so
+        # min(cwnd, min(rwnd, pace)) is exactly min(min(cwnd, rwnd), pace).
+        w_cap = rwnd
+        if self.rate_limit_bps is not None:
+            w_cap = min(rwnd, max(1.0, self.rate_limit_bps * base_rtt / mss))
+        ss_cap = 2.0 * (bdp + buf)
+        cwnd_cap = ss_cap + rwnd
+        algorithm = self.algorithm
+        on_loss, increase = algorithm.on_loss, algorithm.increase
+        ss_factor = algorithm.slow_start_factor
+        has_target = target_bits is not None
+        has_duration = duration_s is not None
         p = self.loss_p
+        fast_forward = p == 0 and has_target
         rng = self._rng
         log1mp = math.log1p(-p) if 0 < p < 1 else 0.0
+        exp = math.exp
+        # Loss uniforms are drawn from ``rng`` in growing blocks.  On the
+        # way out, by return or raise, the finally clause restores the
+        # state saved here and re-draws only the uniforms the rounds used,
+        # so ``rng`` ends where one ``rng.random()`` per lossy round
+        # would have left it.
+        uniforms: List[float] = []
+        k = drawn = 0
+        block = 64
+        saved_state = rng.bit_generator.state if p > 0 else None
 
         tracer = self._tracer
         trace_on = tracer.enabled  # hoisted: one branch per use in the loop
@@ -263,148 +298,154 @@ class TcpConnection:
                 target_bits=target_bits, duration_s=duration_s,
                 capacity_bps=self.capacity_bps, base_rtt_s=self.base_rtt,
                 loss_p=p, rwnd_segments=self.rwnd_segments,
-                **self.algorithm.trace_attrs(),
+                **algorithm.trace_attrs(),
             )
 
-        while True:
-            if target_bits is not None and delivered_bits >= target_bits:
-                break
-            if duration_s is not None and elapsed >= duration_s:
-                break
-            if rounds >= max_rounds:
-                extrapolated = target_bits is not None
-                break
-
-            # --- sender's offered window this round -------------------------------
-            w_target = min(cwnd, self.rwnd_segments)
-            if self.rate_limit_bps is not None:
-                pace = self.rate_limit_bps * self.base_rtt / mss
-                w_target = min(w_target, max(1.0, pace))
-
-            # --- bottleneck: queue growth and overflow -----------------------------
-            congestion_loss = False
-            if w_target > bdp:
-                queue = w_target - bdp
-                if queue > buf:
-                    congestion_loss = True
-                    queue = buf
-            else:
-                queue = 0.0
-            # Round duration: base RTT inflated by standing-queue delay.
-            rtt_eff = self.base_rtt + queue * mss / self.capacity_bps
-            delivered_this_round = min(w_target, bdp + queue)
-
-            # --- random loss -----------------------------------------------------------
-            random_loss = False
-            if p > 0 and delivered_this_round > 0:
-                # P[at least one loss among delivered packets]
-                p_round = 1.0 - math.exp(log1mp * delivered_this_round)
-                if rng.random() < p_round:
-                    random_loss = True
-
-            if target_bits is not None:
-                remaining = target_bits - delivered_bits
-                delivered_bits += min(delivered_this_round * mss, remaining)
-            else:
-                delivered_bits += delivered_this_round * mss
-            elapsed += rtt_eff
-            rounds += 1
-            time_since_loss += rtt_eff
-
-            # --- decimated sampling ------------------------------------------------------
-            since_sample += 1
-            if since_sample >= stride:
-                since_sample = 0
-                samples.append(RoundSample(
-                    time=elapsed,
-                    cwnd_segments=cwnd,
-                    throughput_bps=delivered_this_round * mss / rtt_eff,
-                ))
-                if trace_on:
-                    # Counter tracks, decimated in lockstep with samples.
-                    tracer.sample("cwnd_segments", cwnd, t=t0 + elapsed,
-                                  category="tcp")
-                    tracer.sample("throughput_bps",
-                                  delivered_this_round * mss / rtt_eff,
-                                  t=t0 + elapsed, category="tcp")
-                if len(samples) >= 8192:
-                    samples = samples[::2]
-                    stride *= 2
-
-            # --- window evolution ---------------------------------------------------------
-            if congestion_loss or random_loss:
-                loss_events += 1
-                # The window that was actually in flight is what the loss
-                # reduces (RFC 2861: cwnd must not be inflated beyond what
-                # the connection has been sending).
-                inflight = min(cwnd, w_target)
-                if inflight < 4.0 and random_loss:
-                    # Too few duplicate ACKs to fast-retransmit: timeout.
-                    timeouts += 1
-                    rto = max(MIN_RTO_SECONDS, 2.0 * rtt_eff)
-                    elapsed += rto
-                    ssthresh = max(2.0, inflight / 2.0)
-                    cwnd = 1.0
-                    if trace_on:
-                        tracer.event("tcp", "loss", t=t0 + elapsed,
-                                     kind="timeout", rto_s=rto,
-                                     cwnd_before=inflight, cwnd_after=cwnd)
-                        tracer.counter("timeouts", component="tcp").inc()
-                else:
-                    cwnd = self.algorithm.on_loss(
-                        inflight, self.base_rtt, rtt_eff
-                    )
-                    ssthresh = cwnd
-                    if trace_on:
-                        tracer.event(
-                            "tcp", "loss", t=t0 + elapsed,
-                            kind="congestion" if congestion_loss else "random",
-                            cwnd_before=inflight, cwnd_after=cwnd)
-                if trace_on:
-                    tracer.counter("loss_events", component="tcp").inc()
-                time_since_loss = 0.0
-                steady_rounds = 0
-            else:
-                # Congestion-window validation: when the flow is receive-
-                # window or pacing limited (w_target < cwnd), cwnd is not
-                # grown further — there are no ACKs beyond w_target to
-                # clock it (RFC 2861).
-                if cwnd <= w_target + 1e-9:
-                    if cwnd < ssthresh:
-                        cwnd = min(
-                            cwnd * self.algorithm.slow_start_factor, ssthresh
-                            if ssthresh != float("inf") else cwnd * 2.0,
-                        )
-                        if ssthresh == float("inf"):
-                            cwnd = min(cwnd, 2.0 * (bdp + buf))
-                    else:
-                        cwnd += self.algorithm.increase(
-                            cwnd, time_since_loss, rtt_eff
-                        )
-                    cwnd = min(cwnd, 2.0 * (bdp + buf) + self.rwnd_segments)
-
-            # --- loss-free steady-state fast-forward --------------------------------
-            # Once the delivered *rate* is stable (window-capped, pacing-
-            # capped, or capacity-filling sawtooth) the rest of the transfer
-            # is linear in time; skip ahead analytically.
-            if p == 0 and target_bits is not None:
-                rate = delivered_this_round * mss / rtt_eff
-                if prev_rate > 0 and abs(rate - prev_rate) <= 1e-9 * prev_rate:
-                    steady_rounds += 1
-                else:
-                    steady_rounds = 0
-                prev_rate = rate
-                if steady_rounds >= 3 and rate > 0:
-                    remaining = target_bits - delivered_bits
-                    if remaining > 0:
-                        extra_rounds = remaining / (delivered_this_round * mss)
-                        elapsed += remaining / rate
-                        rounds += int(math.ceil(extra_rounds))
-                        delivered_bits = target_bits
+        try:
+            while True:
+                if has_target and delivered_bits >= target_bits:
+                    break
+                if has_duration and elapsed >= duration_s:
+                    break
+                if rounds >= max_rounds:
+                    extrapolated = has_target
                     break
 
-        # --- extrapolate an unfinished lossy transfer -------------------------------------
-        if extrapolated and target_bits is not None:
+                # --- sender's offered window this round ---------------------
+                # min(cwnd, w_cap) as a select: the same float, no call.
+                w_target = w_cap if w_cap < cwnd else cwnd
+
+                # --- bottleneck: queue growth and overflow -------------------
+                congestion_loss = False
+                if w_target > bdp:
+                    queue = w_target - bdp
+                    if queue > buf:
+                        congestion_loss = True
+                        queue = buf
+                    delivered_this_round = min(w_target, bdp + queue)
+                else:
+                    queue = 0.0
+                    delivered_this_round = w_target  # min(w_target, bdp)
+                # Round duration: base RTT inflated by standing-queue delay.
+                rtt_eff = base_rtt + queue * mss / capacity
+
+                # --- random loss ---------------------------------------------
+                random_loss = False
+                if p > 0 and delivered_this_round > 0:
+                    # P[at least one loss among delivered packets]
+                    p_round = 1.0 - exp(log1mp * delivered_this_round)
+                    if k == len(uniforms):
+                        uniforms = rng.random(
+                            min(block, max_rounds - rounds)).tolist()
+                        drawn += len(uniforms)
+                        block = min(2 * block, _LOSS_BLOCK)
+                        k = 0
+                    random_loss = uniforms[k] < p_round
+                    k += 1
+
+                round_bits = delivered_this_round * mss
+                if has_target:
+                    remaining = target_bits - delivered_bits
+                    delivered_bits += min(round_bits, remaining)
+                else:
+                    delivered_bits += round_bits
+                elapsed += rtt_eff
+                rounds += 1
+                time_since_loss += rtt_eff
+                rate = round_bits / rtt_eff
+
+                # --- decimated sampling --------------------------------------
+                since_sample += 1
+                if since_sample >= stride:
+                    since_sample = 0
+                    rows.append((elapsed, cwnd, rate))
+                    if trace_on:
+                        # Counter tracks, decimated in lockstep with rows.
+                        tracer.sample("cwnd_segments", cwnd, t=t0 + elapsed,
+                                      category="tcp")
+                        tracer.sample("throughput_bps", rate,
+                                      t=t0 + elapsed, category="tcp")
+                    if len(rows) >= 8192:
+                        rows = rows[::2]
+                        stride *= 2
+
+                # --- window evolution ----------------------------------------
+                if congestion_loss or random_loss:
+                    loss_events += 1
+                    # The window that was actually in flight is what the
+                    # loss reduces (RFC 2861: cwnd must not be inflated
+                    # beyond what the connection has been sending).
+                    inflight = min(cwnd, w_target)
+                    if inflight < 4.0 and random_loss:
+                        # Too few duplicate ACKs to fast-retransmit: timeout.
+                        timeouts += 1
+                        rto = max(MIN_RTO_SECONDS, 2.0 * rtt_eff)
+                        elapsed += rto
+                        ssthresh = max(2.0, inflight / 2.0)
+                        cwnd = 1.0
+                        if trace_on:
+                            tracer.event("tcp", "loss", t=t0 + elapsed,
+                                         kind="timeout", rto_s=rto,
+                                         cwnd_before=inflight,
+                                         cwnd_after=cwnd)
+                            tracer.counter("timeouts", component="tcp").inc()
+                    else:
+                        cwnd = on_loss(inflight, base_rtt, rtt_eff)
+                        ssthresh = cwnd
+                        if trace_on:
+                            tracer.event(
+                                "tcp", "loss", t=t0 + elapsed,
+                                kind=("congestion" if congestion_loss
+                                      else "random"),
+                                cwnd_before=inflight, cwnd_after=cwnd)
+                    if trace_on:
+                        tracer.counter("loss_events", component="tcp").inc()
+                    time_since_loss = 0.0
+                    steady_rounds = 0
+                elif cwnd <= w_target + 1e-9:
+                    # Congestion-window validation: when the flow is
+                    # receive-window or pacing limited (w_target < cwnd),
+                    # cwnd is not grown further — there are no ACKs beyond
+                    # w_target to clock it (RFC 2861).
+                    if cwnd < ssthresh:
+                        if ssthresh == math.inf:
+                            cwnd = min(min(cwnd * ss_factor, cwnd * 2.0),
+                                       ss_cap)
+                        else:
+                            cwnd = min(cwnd * ss_factor, ssthresh)
+                    else:
+                        cwnd += increase(cwnd, time_since_loss, rtt_eff)
+                    if cwnd_cap < cwnd:  # min(cwnd, cwnd_cap)
+                        cwnd = cwnd_cap
+
+                # --- loss-free steady-state fast-forward ---------------------
+                # Once the delivered *rate* is stable (window-capped, pacing-
+                # capped, or capacity-filling sawtooth) the rest of the
+                # transfer is linear in time; skip ahead analytically.
+                if fast_forward:
+                    if (prev_rate > 0
+                            and abs(rate - prev_rate) <= 1e-9 * prev_rate):
+                        steady_rounds += 1
+                    else:
+                        steady_rounds = 0
+                    prev_rate = rate
+                    if steady_rounds >= 3 and rate > 0:
+                        remaining = target_bits - delivered_bits
+                        if remaining > 0:
+                            extra_rounds = remaining / round_bits
+                            elapsed += remaining / rate
+                            rounds += int(math.ceil(extra_rounds))
+                            delivered_bits = target_bits
+                        break
+        finally:
+            used = drawn - len(uniforms) + k
+            if used < drawn:
+                rng.bit_generator.state = saved_state
+                for start in range(0, used, _LOSS_BLOCK):
+                    rng.random(min(_LOSS_BLOCK, used - start))
+
+        # --- extrapolate an unfinished lossy transfer ------------------------
+        if extrapolated and has_target:
             if delivered_bits <= 0 or elapsed <= 0:
                 raise SimulationError(
                     "transfer made no progress within max_rounds; "
@@ -429,7 +470,7 @@ class TcpConnection:
             rounds=rounds,
             loss_events=loss_events,
             timeouts=timeouts,
-            algorithm=self.algorithm.name,
+            algorithm=algorithm.name,
             extrapolated=extrapolated,
-            samples=samples,
+            rows=rows,
         )

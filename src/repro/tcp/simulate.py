@@ -57,6 +57,12 @@ from .congestion import (CongestionControl, Reno, algorithm_by_name,
 __all__ = ["FlowProgress", "MultiFlowSimulation", "max_min_fair_allocation",
            "SIM_ENGINES"]
 
+#: Relative headroom every link must keep for a tick to skip the max-min
+#: filler: far above the rounding in the filler's running sums, far
+#: below any load the filler would cut (the proof is in
+#: :meth:`repro.fluid.engine.FluidEngine.run`).
+_SLACK = 1e-9
+
 
 class _ProgressiveFiller:
     """Progressive-filling max-min allocator for a fixed (usage, capacities).
@@ -536,6 +542,9 @@ class MultiFlowSimulation:
         next_sample = 0.0
         sample_s = sample_interval.s
         allocate = self._filler._allocate_numpy
+        # Offered load at or below this on every link skips the filler,
+        # which would return the demands bit for bit (_SLACK).
+        slack_caps = self._capacities * (1.0 - _SLACK)
         any_loss = bool(has_loss_s.any())
         single_algo = groups[0][0] if len(groups) == 1 else None
         n_finished_prev = int(np.count_nonzero(remaining <= 0.0))
@@ -565,8 +574,9 @@ class MultiFlowSimulation:
             raw = np.bincount(flow_of, weights=dem_w, minlength=n_flows)
             demands = np.where(active_f, np.minimum(raw, rate_caps), 0.0)
 
-            alloc = allocate(demands)
-            overflowing = self._advance_queues(demands, dt)
+            offered, overflowing = self._advance_queues(demands, dt)
+            alloc = (demands if (offered <= slack_caps).all()
+                     else allocate(demands))
 
             # n_live is a small exact integer per flow, so float
             # bookkeeping is lossless.
@@ -720,9 +730,10 @@ class MultiFlowSimulation:
             "delivered_bits": delivered, "remaining_bits": remaining}
         return now
 
-    def _advance_queues(self, demands: np.ndarray, dt: float) -> np.ndarray:
+    def _advance_queues(self, demands: np.ndarray,
+                        dt: float) -> Tuple[np.ndarray, np.ndarray]:
         """Advance the per-link virtual queues one tick; return the
-        boolean overflow mask.
+        offered load per link and the boolean overflow mask.
 
         Growing links add ``overload * dt`` and draining links subtract
         it with a clamp at empty; since queues are non-negative, both
@@ -733,7 +744,7 @@ class MultiFlowSimulation:
         queues = np.maximum(0.0, self._queues + overload * dt)
         overflowing = queues > self._buffers
         self._queues = np.minimum(queues, self._buffers)
-        return overflowing
+        return offered_per_link, overflowing
 
     # -- conveniences ---------------------------------------------------------------
     def profile_of(self, label: str) -> PathProfile:

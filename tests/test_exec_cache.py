@@ -32,6 +32,10 @@ GOLDEN_KEY = \
 GOLDEN_DERIVED_SEED = 8840506737630867764
 
 
+def _square(x):
+    return x * x
+
+
 class TestKeyStability:
     def test_golden_key_fixture(self):
         assert cache_key(GOLDEN_FN, GOLDEN_PARAMS, GOLDEN_SEED,
@@ -98,6 +102,38 @@ class TestResultCacheStore:
         assert entry["value"] == [1.5, "two", None, True]
         assert cache.hits == 1 and cache.stores == 1
         assert len(cache) == 1
+
+    def test_counters_are_stats_without_the_directory_scan(self, tmp_path,
+                                                          monkeypatch):
+        cache = ResultCache(tmp_path)
+        key = cache.key("fn", {"x": 1}, None, "v")
+        cache.store(key, fn_id="fn", params={}, seed=None, version="v",
+                    value=1)
+        cache.load(key)
+        stats = cache.stats()
+        assert stats.pop("entries") == 1
+
+        def no_scan(self):
+            raise AssertionError("counters() scanned the cache directory")
+
+        monkeypatch.setattr(ResultCache, "__len__", no_scan)
+        assert cache.counters() == stats
+
+    def test_warm_map_does_not_scan_the_cache_directory(self, tmp_path,
+                                                       monkeypatch):
+        from repro.exec import ParallelRunner
+
+        cache = ResultCache(tmp_path)
+        points = [{"x": 1}, {"x": 2}]
+        ParallelRunner(1, cache=cache).map(_square, points)
+
+        def no_scan(self):
+            raise AssertionError("map() scanned the cache directory")
+
+        monkeypatch.setattr(ResultCache, "__len__", no_scan)
+        outcomes = ParallelRunner(1, cache=cache).map(_square, points)
+        assert [o.value for o in outcomes] == [1, 4]
+        assert cache.hits == 2
 
     def test_uncacheable_values_are_skipped_not_mangled(self, tmp_path):
         cache = ResultCache(tmp_path)

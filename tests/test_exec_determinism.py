@@ -154,6 +154,25 @@ class TestCachedRuns:
         assert code_version_tag(one) == code_version_tag(one)
         assert code_version_tag(one) != code_version_tag(two)
 
+    def test_version_tag_reads_the_source_once_per_function(self,
+                                                            monkeypatch):
+        import inspect
+
+        def three(x):
+            return x + 3
+
+        reads = []
+        real = inspect.getsource
+
+        def counted(obj):
+            reads.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counted)
+        first = code_version_tag(three)
+        assert code_version_tag(three) == first
+        assert reads == [three]
+
 
 class TestErrorPropagation:
     def test_record_mode_parallel_matches_serial(self):

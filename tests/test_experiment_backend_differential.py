@@ -6,10 +6,13 @@ This is the whole-experiment statement of the bit-identity contract in
 :mod:`tests.reference` — not just "the kernels agree on a random
 input", but "the entire pipeline (scenario runs, sweeps, fault
 campaigns, oracle verdicts, report digests) is invariant to which
-implementation computes it".  No committed spec reaches the three
-patched kernels today, so here it guards the patch wiring and the
-pipeline around them; the property tests in
-``test_vectorized_equivalence.py`` drive the kernels themselves.
+implementation computes it".  Every committed spec except the
+federation sweep reaches the single-connection loop
+(``TcpConnection._run`` against ``connection_python``: 54 calls for the
+full Figure 1 sweep, 97 for the quick chaos campaign), so here two code
+paths really are compared.  No committed spec reaches the three
+multi-flow and packet kernels; the property tests in
+``test_vectorized_equivalence.py`` drive those.
 
 The cache is deliberately disabled: the implementation is *not* part of
 the cache key, so a warm cache would serve the first run's results to
@@ -25,7 +28,8 @@ import pathlib
 import pytest
 
 from repro.experiment import ExperimentSpec, RunContext, run_experiment
-from tests.reference import scalar_kernels
+from tests import reference as references
+from tests.reference import connection_python, scalar_kernels
 
 SPECS = pathlib.Path(__file__).parent.parent / "specs"
 
@@ -44,12 +48,21 @@ def test_committed_spec_list_is_nonempty():
 
 
 @pytest.mark.parametrize("name", SPEC_FILES)
-def test_backends_agree_on_committed_spec(name):
+def test_backends_agree_on_committed_spec(name, monkeypatch):
     spec = ExperimentSpec.from_file(SPECS / name)
+    calls = []
 
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return connection_python(*args, **kwargs)
+
+    monkeypatch.setattr(references, "connection_python", counted)
     shipped = _run(spec)
     with scalar_kernels():
         reference = _run(spec)
+
+    if spec.kind != "federation":
+        assert calls, f"{name} never reached the connection reference"
 
     assert shipped.manifest.spec_digest \
         == reference.manifest.spec_digest

@@ -8,7 +8,9 @@ equality: goldens were recorded against the scalar code, so any
 last-bit divergence in the vectorized path would silently shift
 reproduced numbers.  These property tests drive both implementations
 over randomized topologies, flow mixes, seeds, and loss regimes and
-compare raw float bit patterns (``tobytes()`` / exact ``==``).
+compare raw float bit patterns (``tobytes()`` / exact ``==``).  The
+fourth reference, the single-connection loop, has its own property in
+``test_tcp_connection_differential.py``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.netsim.flow import FlowSpec
 from repro.netsim import packetsim
 from repro.netsim.packetsim import BurstySource, simulate_fan_in
 from repro.tcp.congestion import Cubic, HTcp, Reno
+from repro.tcp.connection import TcpConnection
 from repro.tcp.simulate import (
     MultiFlowSimulation,
     _ProgressiveFiller,
@@ -238,10 +241,13 @@ def test_scalar_kernels_reach_every_reference(monkeypatch):
             return fn(*args, **kwargs)
         return spy
 
-    for name in ("run_python", "allocate_python", "sweep_python"):
+    names = ("run_python", "allocate_python", "sweep_python",
+             "connection_python")
+    for name in names:
         monkeypatch.setattr(reference, name, counted(name))
     shipped = (MultiFlowSimulation._run_exact,
-               _ProgressiveFiller._allocate_numpy, packetsim._sweep_numpy)
+               _ProgressiveFiller._allocate_numpy, packetsim._sweep_numpy,
+               TcpConnection._run)
     with scalar_kernels():
         sim = _build_sim("exact", 2, 0, 0.0, 0,
                          [{"src": 0, "dst": 1, "mb": 5, "streams": 2,
@@ -250,7 +256,9 @@ def test_scalar_kernels_reach_every_reference(monkeypatch):
         max_min_fair_allocation(np.ones(2), np.ones((2, 1), dtype=bool),
                                 np.ones(1))
         _run_fanin(2, 300, 1.0, 64, 20, 0)
-    assert set(calls) == {"run_python", "allocate_python", "sweep_python"}
+        TcpConnection(sim.topology.profile_between("h0", "h1")).measure(
+            seconds(1))
+    assert set(calls) == set(names)
     assert (MultiFlowSimulation._run_exact,
             _ProgressiveFiller._allocate_numpy,
-            packetsim._sweep_numpy) == shipped
+            packetsim._sweep_numpy, TcpConnection._run) == shipped
